@@ -16,6 +16,7 @@ from .core import (
     TripleSystem,
     build_codegree_table,
     construct_complete_k_partite,
+    min_codegree,
     min_positive_codegree,
 )
 from .errors import InternalContradiction, PreconditionViolated
@@ -27,7 +28,7 @@ from .fileio import (
     result_to_json,
     write_hypergraph,
 )
-from .patterns import find_embedding, pattern_by_name
+from .patterns import find_embedding, is_free, pattern_by_name
 from .search import exact_copos_ex, local_search_lower_bound
 from .witness import analyze_half_degree, find_c5_witness, find_c5minus_witness
 
@@ -76,13 +77,13 @@ def cmd_stats(args) -> int:
     if table.min_positive_codegree is None:
         print("min_positive_codegree undefined")
         print("support_pairs 0")
-        print("min_codegree undefined")
+        print(f"min_codegree {min_codegree(host)}")
         print("max_codegree undefined")
     else:
         degrees = [len(table.neighborhoods[p]) for p in table.support_pairs]
         print(f"min_positive_codegree {table.min_positive_codegree}")
         print(f"support_pairs {len(table.support_pairs)}")
-        print(f"min_codegree {min(degrees)}")
+        print(f"min_codegree {min_codegree(host)}")
         print(f"max_codegree {max(degrees)}")
     return EXIT_OK
 
@@ -90,7 +91,7 @@ def cmd_stats(args) -> int:
 def cmd_free(args) -> int:
     host = _load(args.input)
     pattern = pattern_by_name(args.pattern)
-    emb = find_embedding(host, pattern)
+    emb = None if is_free(host, pattern) else find_embedding(host, pattern)
     payload = {
         "pattern": pattern.name,
         "free": emb is None,

@@ -82,6 +82,14 @@ class TripleSystem:
     def has_edge(self, u: int, v: int, w: int) -> bool:
         return bool(self._nbr[u][v] >> w & 1)
 
+    @property
+    def pair_masks(self) -> list[list[int]]:
+        """The table behind neighborhood_mask: ``pair_masks[u][v]`` for u != v.
+
+        Shared with the host, so callers must not modify it.
+        """
+        return self._nbr
+
     def neighborhood_mask(self, u: int, v: int) -> int:
         """Bitmask of vertices w such that {u, v, w} is an edge; 0 if u == v."""
         if u == v:

@@ -32,7 +32,7 @@ from .core import (
     KNOWN_FAMILIES,
 )
 from .errors import InternalContradiction, PreconditionViolated
-from .patterns import Pattern, is_free, pattern_by_name, search_maps, embeds_through_edge
+from .patterns import Pattern, embeds_through, embeds_through_edge, is_free, pattern_by_name
 
 EXACT_MAX_N = 7
 EXACT_MIN_N = 4
@@ -204,18 +204,6 @@ class _Decision:
         cnt_in = {p: 0 for p in live}
         cnt_undec = {p: len(pair_tris[p]) for p in live}
         inadj = [[0] * n for _ in range(n)]
-
-        def nbr(u: int, v: int) -> int:
-            return inadj[u][v]
-
-        def pattern_through(ti: int) -> bool:
-            t = tris[ti]
-            for pe in pattern.edges:
-                for img in itertools.permutations(t):
-                    if search_maps(nbr, n, pattern, dict(zip(pe, img))) is not None:
-                        return True
-            return False
-
         trail: list[tuple] = []
 
         def set_in(ti: int) -> bool:
@@ -232,7 +220,7 @@ class _Decision:
                 cnt_in[p] += 1
                 cnt_undec[p] -= 1
             trail.append(("in", ti))
-            return not pattern_through(ti)
+            return not embeds_through(inadj, n, pattern, tris[ti])
 
         def set_out(ti: int) -> bool:
             self.nodes += 1

@@ -46,6 +46,19 @@ class TestStats:
         assert code == 0
         assert "min_positive_codegree 3" in stdout
 
+    def test_min_codegree_is_over_all_pairs(self, tmp_path, capsys):
+        # Pairs inside a part have co-degree 0, so the minimum over all
+        # pairs is 0 even though every support pair has co-degree 3.
+        path = tmp_path / "h7.txt"
+        write_hypergraph(str(path), construct_complete_k_partite(7, 4)[0])
+        code, stdout, _ = run(capsys, "stats", str(path))
+        assert code == 0
+        assert "min_codegree 0" in stdout.splitlines()
+        path.write_text("n 4\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n")
+        code, stdout, _ = run(capsys, "stats", str(path))
+        assert code == 0
+        assert "min_codegree 2" in stdout.splitlines()
+
     def test_edgeless(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("n 6\n")

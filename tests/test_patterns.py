@@ -152,3 +152,56 @@ class TestInvariance:
                 assert is_free(grown, pattern) == (
                     not embeds_through_edge(grown, pattern, t)
                 )
+
+
+def _pin_enumeration(host, pattern, t) -> bool:
+    """Every (pattern edge, permutation of t) pin, completed by brute force."""
+    for pe in pattern.edges:
+        for img in itertools.permutations(t):
+            pinned = dict(zip(pe, img))
+            rest = [v for v in range(pattern.vertex_count) if v not in pinned]
+            others = [h for h in range(host.n) if h not in img]
+            for tail in itertools.permutations(others, len(rest)):
+                m = {**pinned, **dict(zip(rest, tail))}
+                if all(host.has_edge(m[x], m[y], m[z]) for x, y, z in pattern.edges):
+                    return True
+    return False
+
+
+class TestCompiledSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 8), st.floats(0.05, 0.8), st.randoms(use_true_random=False))
+    def test_is_free_matches_naive(self, n, density, rng):
+        host = random_host(n, rng, density=density)
+        for pattern in CATALOG.values():
+            assert is_free(host, pattern) == (naive_find_embedding(host, pattern) is None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(5, 8), st.floats(0.1, 0.7), st.randoms(use_true_random=False))
+    def test_orbit_through_edge_matches_every_pin(self, n, density, rng):
+        host = random_host(n, rng, density=density)
+        triples = list(itertools.combinations(range(n), 3))
+        edges = list(host.edges) or triples
+        for t in (edges[rng.randrange(len(edges))], triples[rng.randrange(len(triples))]):
+            for pattern in CATALOG.values():
+                assert embeds_through_edge(host, pattern, t) == _pin_enumeration(host, pattern, t)
+
+    # |Aut(F)| and the number of orbits of Aut(F) on ordered pattern edges.
+    GROUPS = {"k4minus": (6, 3), "k4": (24, 1), "c5minus": (2, 12), "c5": (10, 3), "f32": (12, 4)}
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_group_and_orbit_counts_match_brute_force(self, name):
+        pattern = CATALOG[name]
+        p = pattern.vertex_count
+        itself = TripleSystem(p, pattern.edges)
+        group = [g for g in itertools.permutations(range(p)) if itself.relabel(g) == itself]
+        ordered = [t for e in pattern.edges for t in itertools.permutations(e)]
+        # Burnside: orbits = mean number of ordered edges a group element fixes.
+        fixed = sum(1 for g in group for t in ordered if all(g[v] == v for v in t))
+        assert (len(group), fixed // len(group)) == self.GROUPS[name]
+        compiled = pattern.compiled
+        assert len(compiled.automorphisms) == len(group)
+        reps = [plan.order[:3] for plan in compiled.through]
+        assert len(reps) == fixed // len(group)
+        covered = {tuple(g[v] for v in r) for g in group for r in reps}
+        assert covered == set(ordered)

@@ -122,6 +122,16 @@ class TestExactValues:
         b = exact_copos_ex(6, "c5")
         assert (a.value, a.extremal, a.nodes_explored) == (b.value, b.extremal, b.nodes_explored)
 
+    @pytest.mark.parametrize(
+        "n,pattern,nodes",
+        # Recorded node counts: the decision search prunes on pattern checks
+        # through each added edge, so a wrong check changes these counts.
+        [(6, "k4minus", 228), (6, "k4", 634), (6, "c5minus", 365), (6, "c5", 477),
+         (6, "f32", 417), (7, "c5minus", 39096)],
+    )
+    def test_node_counts_are_stable(self, n, pattern, nodes):
+        assert exact_copos_ex(n, pattern).nodes_explored == nodes
+
     def test_range_enforced(self):
         with pytest.raises(PreconditionViolated):
             exact_copos_ex(8, "c5")
