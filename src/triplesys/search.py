@@ -14,16 +14,22 @@ group, by brute-force canonical minimization.
 The exact value then comes from ascending k starting at the value of the
 complete balanced k-partite seed construction, so tight instances need a
 single refutation call.
+
+Both searches keep the host they are changing in one core.HostState: the
+edge phase and the local search toggle one triple at a time and run the
+through-edge pattern check on its pair masks, so no move rebuilds a host.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
 from dataclasses import dataclass
 
 from .core import (
+    HostState,
     TripleSystem,
     construct_complete_k_partite,
     known_extremal_value,
@@ -32,7 +38,7 @@ from .core import (
     KNOWN_FAMILIES,
 )
 from .errors import InternalContradiction, PreconditionViolated
-from .patterns import Pattern, embeds_through, embeds_through_edge, is_free, pattern_by_name
+from .patterns import Pattern, embeds_through, is_free, pattern_by_name
 
 EXACT_MAX_N = 7
 EXACT_MIN_N = 4
@@ -91,8 +97,12 @@ def _pairs_within(m: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(m) for v in range(u + 1, m)]
 
 
-def _canonical_top_masks(m: int) -> list[int]:
-    """One live-set representative per orbit of 2-colorings of the K_m pairs."""
+@functools.cache
+def _canonical_top_masks(m: int) -> tuple[int, ...]:
+    """One live-set representative per orbit of 2-colorings of the K_m pairs.
+
+    Cached: every decision call at the same m needs the same tuple.
+    """
     pairs = _pairs_within(m)
     index = {p: i for i, p in enumerate(pairs)}
     perms = list(itertools.permutations(range(m)))
@@ -113,7 +123,7 @@ def _canonical_top_masks(m: int) -> list[int]:
                 break
         if smallest == mask:
             reps.append(mask)
-    return reps
+    return tuple(reps)
 
 
 class _Decision:
@@ -125,6 +135,7 @@ class _Decision:
         self.k = k
         self.nodes = 0
         self.all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        self.empty = TripleSystem(n)
 
     def run_branch(self, top_pairs, top_mask: int):
         """Explore one top-level pair-state assignment; edges of the found host or None."""
@@ -201,26 +212,21 @@ class _Decision:
 
         TS_UNDEC, TS_IN, TS_OUT = 0, 1, 2
         tstate = [TS_UNDEC] * len(tris)
-        cnt_in = {p: 0 for p in live}
+        # edges chosen so far; the co-degree of a pair counts its triangles in
+        host = HostState(self.empty)
+        nbr, toggle = host.pair_masks, host.toggle
         cnt_undec = {p: len(pair_tris[p]) for p in live}
-        inadj = [[0] * n for _ in range(n)]
         trail: list[tuple] = []
 
         def set_in(ti: int) -> bool:
             self.nodes += 1
             u, v, w = tris[ti]
             tstate[ti] = TS_IN
-            inadj[u][v] |= 1 << w
-            inadj[v][u] |= 1 << w
-            inadj[u][w] |= 1 << v
-            inadj[w][u] |= 1 << v
-            inadj[v][w] |= 1 << u
-            inadj[w][v] |= 1 << u
+            toggle(tris[ti])
             for p in ((u, v), (u, w), (v, w)):
-                cnt_in[p] += 1
                 cnt_undec[p] -= 1
             trail.append(("in", ti))
-            return not embeds_through(inadj, n, pattern, tris[ti])
+            return not embeds_through(nbr, n, pattern, tris[ti])
 
         def set_out(ti: int) -> bool:
             self.nodes += 1
@@ -230,7 +236,7 @@ class _Decision:
             forced = []
             for p in ((u, v), (u, w), (v, w)):
                 cnt_undec[p] -= 1
-                total = cnt_in[p] + cnt_undec[p]
+                total = nbr[p[0]][p[1]].bit_count() + cnt_undec[p]
                 if total < self.k:
                     return False
                 if total == self.k and cnt_undec[p]:
@@ -246,18 +252,9 @@ class _Decision:
                 u, v, w = tris[ti]
                 tstate[ti] = TS_UNDEC
                 if kind == "in":
-                    inadj[u][v] &= ~(1 << w)
-                    inadj[v][u] &= ~(1 << w)
-                    inadj[u][w] &= ~(1 << v)
-                    inadj[w][u] &= ~(1 << v)
-                    inadj[v][w] &= ~(1 << u)
-                    inadj[w][v] &= ~(1 << u)
-                    for p in ((u, v), (u, w), (v, w)):
-                        cnt_in[p] -= 1
-                        cnt_undec[p] += 1
-                else:
-                    for p in ((u, v), (u, w), (v, w)):
-                        cnt_undec[p] += 1
+                    toggle(tris[ti])
+                for p in ((u, v), (u, w), (v, w)):
+                    cnt_undec[p] += 1
 
         def dfs(from_idx: int):
             ti = from_idx
@@ -385,9 +382,12 @@ def local_search_lower_bound(
 
     Starts from the k-partite seed construction and keeps the best host
     seen; every accepted move preserves pattern-freeness (additions are
-    checked incrementally through the toggled edge).  Deterministic for a
-    fixed seed.  A result exceeding the known closed-form value would
-    falsify it and raises InternalContradiction.
+    checked incrementally through the toggled edge).  Each proposal is
+    toggled into one HostState, whose co-degree histogram gives the score
+    without a rescan, and toggled back if rejected; only the seed and the
+    returned host are built as TripleSystem.  Deterministic for a fixed
+    seed: one ``randrange`` per step.  A result exceeding the known
+    closed-form value would falsify it and raises InternalContradiction.
     """
     if isinstance(pattern, str):
         pattern = pattern_by_name(pattern)
@@ -398,25 +398,31 @@ def local_search_lower_bound(
     if budget < 0:
         raise PreconditionViolated(f"budget must be nonnegative, got {budget}")
     rng = random.Random(seed)
-    current = _seed_construction(n, pattern)
-    cur_score = _score(current)
-    best, best_score = current, cur_score
+    seed_host = _seed_construction(n, pattern)
+    state = HostState(seed_host)
+    cur_score = best_score = state.score()
+    edges = set(seed_host.edges)
+    best_edges = None  # None while the seed is still the best host
     all_triples = list(itertools.combinations(range(n), 3))
-    edges = set(current.edges)
     for _ in range(budget):
         t = all_triples[rng.randrange(len(all_triples))]
-        if t in edges:
-            candidate = TripleSystem(n, edges - {t})
+        adding = t not in edges
+        state.toggle(t)
+        if adding and embeds_through(state.pair_masks, n, pattern, t):
+            state.toggle(t)
+            continue
+        score = state.score()
+        if score < cur_score:
+            state.toggle(t)
+            continue
+        cur_score = score
+        if adding:
+            edges.add(t)
         else:
-            candidate = TripleSystem(n, edges | {t})
-            if embeds_through_edge(candidate, pattern, t):
-                continue
-        score = _score(candidate)
-        if score >= cur_score:
-            current, cur_score = candidate, score
-            edges = set(candidate.edges)
-            if score > best_score:
-                best, best_score = candidate, score
+            edges.remove(t)
+        if score > best_score:
+            best_edges, best_score = tuple(edges), score
+    best = seed_host if best_edges is None else TripleSystem(n, best_edges)
     if not is_free(best, pattern):
         raise InternalContradiction(
             "local search accepted a host containing the pattern",
@@ -432,16 +438,3 @@ def local_search_lower_bound(
             )
     return best
 
-
-def _score(host: TripleSystem) -> tuple[int, int]:
-    """(min positive co-degree, -number of support pairs attaining it)."""
-    delta = min_positive_codegree(host)
-    if delta is None:
-        return (0, 0)
-    at_min = sum(
-        1
-        for u in range(host.n)
-        for v in range(u + 1, host.n)
-        if host.codegree(u, v) == delta
-    )
-    return (delta, -at_min)

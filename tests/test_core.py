@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from triplesys import (
     min_codegree,
     min_positive_codegree,
 )
+from triplesys.core import HostState
 
 from conftest import random_host, scan_min_positive_codegree
 
@@ -88,6 +90,38 @@ class TestCodegreeTable:
     def test_min_positive_codegree_matches_edge_scan(self, n, rng):
         host = random_host(n, rng)
         assert min_positive_codegree(host) == scan_min_positive_codegree(host)
+
+
+class TestHostState:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 12), st.randoms(use_true_random=False))
+    def test_toggles_match_a_rebuilt_host(self, n, rng):
+        host = random_host(n, rng, density=rng.random())
+        state = HostState(host)
+        edges = set(host.edges)
+        triples = list(itertools.combinations(range(n), 3))
+        pairs = list(itertools.combinations(range(n), 2))
+        for _ in range(40):
+            t = triples[rng.randrange(len(triples))]
+            state.toggle(t)
+            edges ^= {t}
+            rebuilt = TripleSystem(n, edges)
+            assert state.pair_masks == rebuilt.pair_masks
+            hist = [sum(1 for u, v in pairs if rebuilt.codegree(u, v) == c) for c in range(n - 1)]
+            assert state.hist == hist
+            delta = min_positive_codegree(rebuilt)
+            if delta is None:
+                expected = (0, 0)
+            else:
+                expected = (delta, -sum(1 for u, v in pairs if rebuilt.codegree(u, v) == delta))
+            assert state.score() == expected
+
+    def test_copies_the_host_table(self):
+        host = TripleSystem(4, [(0, 1, 2)])
+        state = HostState(host)
+        state.toggle((0, 1, 2))
+        assert host.has_edge(0, 1, 2)
+        assert state.score() == (0, 0)
 
 
 class TestConstruction:

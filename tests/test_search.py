@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -18,6 +19,8 @@ from triplesys import (
     min_positive_codegree,
     pattern_by_name,
 )
+from triplesys import search
+from triplesys.patterns import embeds_through
 
 from conftest import random_host
 
@@ -169,3 +172,57 @@ class TestLocalSearch:
             local_search_lower_bound(25, "c5", 10, seed=0)
         with pytest.raises(PreconditionViolated):
             local_search_lower_bound(10, "c5", -1, seed=0)
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestLocalSearchGolden:
+    """Runs recorded before the incremental host state replaced host rebuilds.
+
+    In these runs no move is ever accepted (every toggle from the k-partite
+    seed lowers the score), so each returned host is the seed and the output
+    alone cannot show a change in the RNG use or the order of the checks.
+    The test therefore also pins the trail of through-edge pattern checks:
+    the proposed addition and whether a copy went through it, in step order.
+    """
+
+    # (n, pattern, seed, budget), checks, hits, SHA-256 of the sorted edges,
+    # SHA-256 of the trail [(triple, hit), ...]
+    GOLDEN = [
+        ((12, "c5", 3, 200), 109, 107,
+         "d5b0b59fce1739dcc84f960b5abed19b78b2b024655901ce9b8f917c25b5620f",
+         "35ac3faa61b496a252987615eeaec3c460fb264b2c96dd228238a7e85f24b180"),
+        ((12, "c5minus", 7, 300), 200, 189,
+         "79480a0bc7fb927d60cc99c2daea98f4320214529df3727cb909fdab543b63b8",
+         "28a8f1e36b34d0e13aa143af30a5b883e4dac6b6a8aebf4d5828e4b4e6a2c9ad"),
+        ((12, "k4", 0, 300), 210, 0,
+         "79480a0bc7fb927d60cc99c2daea98f4320214529df3727cb909fdab543b63b8",
+         "5fa029527dbfec9d6e82de68de9aa906d0e4fdeada44e1754167a980f894ce80"),
+        ((24, "c5", 21, 300), 186, 178,
+         "de3889b496d55cc8c98efe5f2483bd4af47a63ac3a15dcb6a9463df82196a735",
+         "c6af0adea5e75a8e4197dfb30c33eb426896aa84439d14c7ddc23d83546bf3d9"),
+        ((24, "f32", 5, 300), 231, 28,
+         "3bfb12c96a494e3bb32b889eedcde96d55e2ed426327f56a2de8ab798485b0db",
+         "97b32d09a7b30ef2f2f77b61b0df6369315224b1d4b540a30b503519a25234bf"),
+        ((24, "k4minus", 8, 300), 225, 198,
+         "3bfb12c96a494e3bb32b889eedcde96d55e2ed426327f56a2de8ab798485b0db",
+         "0dddae25934887095ad8e34df6645b8ee4fad3bae44a8b7761e67ae2f2e7cf1b"),
+    ]
+
+    @pytest.mark.parametrize("args,checks,hits,edges_sha,trail_sha", GOLDEN)
+    def test_matches_the_recorded_run(self, monkeypatch, args, checks, hits, edges_sha, trail_sha):
+        trail = []
+
+        def recording(nbr, n, pattern, edge):
+            hit = embeds_through(nbr, n, pattern, edge)
+            trail.append((tuple(edge), hit))
+            return hit
+
+        n, pattern, seed, budget = args
+        monkeypatch.setattr(search, "embeds_through", recording)
+        host = local_search_lower_bound(n, pattern, budget, seed)
+        assert _sha256(host.edges) == edges_sha
+        assert (len(trail), sum(hit for _, hit in trail)) == (checks, hits)
+        assert _sha256(trail) == trail_sha
