@@ -43,20 +43,16 @@ from .patterns import (
     validate_embedding,
 )
 from .search import (
-    CanonicalForm,
     SearchOutcome,
-    canonical_key,
     decide_exists,
     exact_copos_ex,
     local_search_lower_bound,
 )
 from .witness import (
     FactReport,
-    Mij,
     StructureCertificate,
     analyze_half_degree,
     check_fact,
-    compute_mij,
     find_c5_witness,
     find_c5minus_witness,
 )
@@ -65,7 +61,6 @@ __all__ = [
     "C5",
     "C5MINUS",
     "CATALOG",
-    "CanonicalForm",
     "CodegreeTable",
     "Embedding",
     "F32",
@@ -73,7 +68,6 @@ __all__ = [
     "InternalContradiction",
     "K4",
     "K4MINUS",
-    "Mij",
     "ParseError",
     "PartitionSpec",
     "Pattern",
@@ -84,10 +78,8 @@ __all__ = [
     "TripleSystem",
     "analyze_half_degree",
     "build_codegree_table",
-    "canonical_key",
     "check_fact",
     "complete_triple_system",
-    "compute_mij",
     "construct_complete_k_partite",
     "decide_exists",
     "embeds_through_edge",

@@ -80,7 +80,7 @@ def cmd_stats(args) -> int:
         print(f"min_codegree {min_codegree(host)}")
         print("max_codegree undefined")
     else:
-        degrees = [len(table.neighborhoods[p]) for p in table.support_pairs]
+        degrees = [host.codegree(u, v) for u, v in table.support_pairs]
         print(f"min_positive_codegree {table.min_positive_codegree}")
         print(f"support_pairs {len(table.support_pairs)}")
         print(f"min_codegree {min_codegree(host)}")

@@ -172,32 +172,28 @@ def complete_triple_system(n: int) -> TripleSystem:
 
 @dataclass(frozen=True)
 class CodegreeTable:
-    """All pair neighborhoods of a host, plus the derived invariants.
+    """The support pairs of a host (co-degree > 0), plus the derived invariants.
 
     ``min_positive_codegree`` is None exactly when the host has no edges:
     the quantity is only defined for hosts with at least one support pair.
     """
 
     host: TripleSystem
-    neighborhoods: dict[tuple[int, int], frozenset[int]]
     min_positive_codegree: int | None
     support_pairs: frozenset[tuple[int, int]]
 
 
 def build_codegree_table(host: TripleSystem) -> CodegreeTable:
-    neighborhoods: dict[tuple[int, int], frozenset[int]] = {}
     support: set[tuple[int, int]] = set()
     best: int | None = None
     for u in range(host.n):
         for v in range(u + 1, host.n):
-            mask = host.neighborhood_mask(u, v)
-            neighborhoods[(u, v)] = frozenset(mask_vertices(mask))
-            c = mask.bit_count()
+            c = host.codegree(u, v)
             if c:
                 support.add((u, v))
                 if best is None or c < best:
                     best = c
-    return CodegreeTable(host, neighborhoods, best, frozenset(support))
+    return CodegreeTable(host, best, frozenset(support))
 
 
 def min_positive_codegree(host: TripleSystem) -> int | None:

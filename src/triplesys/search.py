@@ -44,35 +44,6 @@ EXACT_MAX_N = 7
 EXACT_MIN_N = 4
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalForm:
-    """Total-order key invariant under vertex relabeling; exact for n <= 7."""
-
-    n: int
-    key: int
-
-
-def canonical_key(host: TripleSystem) -> CanonicalForm:
-    """Minimum edge bitstring over all vertex permutations.
-
-    Brute force over n! permutations, so the key is exact: two hosts get
-    equal keys if and only if they are isomorphic.  Rejected above n = 7.
-    """
-    n = host.n
-    if n > EXACT_MAX_N:
-        raise PreconditionViolated(f"exact canonical form is capped at n <= {EXACT_MAX_N}")
-    triples = list(itertools.combinations(range(n), 3))
-    index = {t: i for i, t in enumerate(triples)}
-    best = None
-    for perm in itertools.permutations(range(n)):
-        word = 0
-        for u, v, w in host.edges:
-            word |= 1 << index[tuple(sorted((perm[u], perm[v], perm[w])))]
-        if best is None or word < best:
-            best = word
-    return CanonicalForm(n, best or 0)
-
-
 @dataclass(frozen=True)
 class SearchOutcome:
     """An exact extremal value with one witness host and search statistics."""

@@ -54,25 +54,6 @@ class _FoundC5(Exception):
 
 
 @dataclass(frozen=True)
-class Mij:
-    """Neighborhood of one base pair with the complementary base vertices removed."""
-
-    base: tuple[int, int, int, int]
-    pair: tuple[int, int]
-    vertices: frozenset[int]
-
-
-def compute_mij(host: TripleSystem, base, pair) -> Mij:
-    base = tuple(base)
-    i, j = pair
-    base_mask = 0
-    for v in base:
-        base_mask |= 1 << v
-    m = host.neighborhood_mask(base[i], base[j]) & ~base_mask
-    return Mij(base, (i, j), frozenset(mask_vertices(m)))
-
-
-@dataclass(frozen=True)
 class FactReport:
     """Outcome of checking one structural fact literally, as quantified."""
 
@@ -123,18 +104,11 @@ class StructureCertificate:
             union |= c
         if union != set(range(n)):
             return False
-        nm = _neighbor_matrix(host, base)
+        amask, bmask = _ab_cells(_neighbor_matrix(host, base))
         for i in range(4):
-            others = [x for x in range(4) if x != i]
-            a_mask = -1
-            for j, k in ((others[0], others[1]), (others[1], others[2]), (others[0], others[2])):
-                a_mask &= nm[j][k]
-            b_mask = -1
-            for j in others:
-                b_mask &= nm[i][j]
-            if self.a_sets[i] != frozenset(mask_vertices(a_mask & ((1 << n) - 1))):
+            if self.a_sets[i] != frozenset(mask_vertices(amask[i])):
                 return False
-            if self.b_sets[i] != frozenset(mask_vertices(b_mask & ((1 << n) - 1))):
+            if self.b_sets[i] != frozenset(mask_vertices(bmask[i])):
                 return False
             if base[i] not in self.a_sets[i]:
                 return False
@@ -196,6 +170,21 @@ def _neighbor_matrix(host: TripleSystem, base):
     return nm
 
 
+def _ab_cells(nm) -> tuple[list[int], list[int]]:
+    """A- and B-cells of a base from its 4x4 neighbor matrix, by base position.
+
+    amask[i] is the triple intersection of the three pair neighborhoods
+    avoiding base position i, bmask[i] that of the three through it.
+    """
+    amask = []
+    bmask = []
+    for i in range(4):
+        j, k, l = (x for x in range(4) if x != i)
+        amask.append(nm[j][k] & nm[k][l] & nm[l][j])
+        bmask.append(nm[i][j] & nm[i][k] & nm[i][l])
+    return amask, bmask
+
+
 def _is_k4(host: TripleSystem, base) -> bool:
     a, b, c, d = base
     return (
@@ -229,7 +218,7 @@ def _c5_from_quad(base, nm, v5) -> tuple[int, int, int, int, int] | None:
     return None
 
 
-def _set_state(host, base, nm) -> dict:
+def _set_state(base, nm) -> dict:
     return {
         "base": tuple(base),
         "neighborhoods": {
@@ -347,7 +336,7 @@ def _extract_c5_k4free(host: TripleSystem) -> tuple[int, ...]:
         if count < 4:
             continue
         apex_hits = [t for t in (1, 2, 3) if nm[0][t] >> v5 & 1]
-        state = {"base": base, "v5": v5, "apex_hits": apex_hits, **_set_state(host, base, nm)}
+        state = {"base": base, "v5": v5, "apex_hits": apex_hits, **_set_state(base, nm)}
         if len(apex_hits) == 3:
             raise InternalContradiction(
                 "fifth vertex in all apex neighborhoods of a K4-free host", state
@@ -371,7 +360,7 @@ def _extract_c5_k4free(host: TripleSystem) -> tuple[int, ...]:
         return (base[0], base[x], v5, base[z], base[y])
     raise InternalContradiction(
         "no fifth vertex in four of the six base neighborhoods",
-        {"base": base, **_set_state(host, base, nm)},
+        {"base": base, **_set_state(base, nm)},
     )
 
 
@@ -405,12 +394,12 @@ def find_c5_witness(host: TripleSystem) -> Embedding:
         if m is None:
             raise InternalContradiction(
                 "fifth vertex in four sets but no doubled pairing with a crossing",
-                {"base": base, "v5": v5, **_set_state(host, base, nm)},
+                {"base": base, "v5": v5, **_set_state(base, nm)},
             )
         return _validated(host, C5, m)
     raise InternalContradiction(
         "no fifth vertex in four of the six base neighborhoods",
-        {"base": base, "delta": delta, **_set_state(host, base, nm)},
+        {"base": base, "delta": delta, **_set_state(base, nm)},
     )
 
 
@@ -472,13 +461,13 @@ class _HalfDegreeAnalyzer:
             if nm[i][j].bit_count() * 2 != n:
                 raise InternalContradiction(
                     "base pair with co-degree different from n/2 and no doubled vertex",
-                    {"pair": (base[i], base[j]), **_set_state(host, base, nm)},
+                    {"pair": (base[i], base[j]), **_set_state(base, nm)},
                 )
         for (a, b), (c, d) in PAIRINGS:
             if nm[a][b] ^ nm[c][d] != self.full:
                 raise InternalContradiction(
                     "pairing is not complementary despite exact sizes",
-                    _set_state(host, base, nm),
+                    _set_state(base, nm),
                 )
         self.fact(1)
         self.fact(2)
@@ -487,15 +476,12 @@ class _HalfDegreeAnalyzer:
     def make_ctx(self, base) -> _Ctx:
         base = tuple(base)
         nm = self.analyzed_nm(base)
-        amask = []
-        bmask = []
-        for i in range(4):
-            others = [x for x in range(4) if x != i]
-            j, k, l = others
-            amask.append(nm[j][k] & nm[k][l] & nm[l][j])
-            bmask.append(nm[i][j] & nm[i][k] & nm[i][l])
+        amask, bmask = _ab_cells(nm)
         cells = amask + bmask
-        if sum(c.bit_count() for c in cells) != self.n or _or_all(cells) != self.full:
+        union = 0
+        for c in cells:
+            union |= c
+        if sum(c.bit_count() for c in cells) != self.n or union != self.full:
             raise InternalContradiction(
                 "A/B cells do not partition the vertex set",
                 {"base": base, "cells": [mask_vertices(c) for c in cells]},
@@ -547,11 +533,18 @@ class _HalfDegreeAnalyzer:
                 "cross-pair neighborhood differs although both derived bases verified", state
             )
 
-    def two_nonempty_hunt(self, ctx: _Ctx):
-        """At least two nonempty B-cells: a C5 must surface; never returns."""
+    def exclusion_sweep(self, ctx: _Ctx, positions) -> None:
+        """Apex exclusion for the B-cells at ``positions``.
+
+        For each member a of such a B-cell and each other base vertex, the
+        pair neighborhood N(a, v_jj) must miss every cell at a third
+        position: a hit in a B-cell is a C5, and a hit in an A-cell becomes
+        a C5 or an impossible state once the cross-pair equality is re-derived.
+        Returning normally means the exclusion holds literally.
+        """
         self.fact(5)
         host = self.host
-        for i in range(4):
+        for i in positions:
             for a in mask_vertices(ctx.bmask[i]):
                 for jj in range(4):
                     if jj == i:
@@ -570,6 +563,10 @@ class _HalfDegreeAnalyzer:
                                 "B-cell member adjacent into a foreign A-cell with verified equalities",
                                 {"a": a, "w": w, "base": ctx.base, "i": i, "jj": jj, "kk": kk},
                             )
+
+    def two_nonempty_hunt(self, ctx: _Ctx):
+        """At least two nonempty B-cells: a C5 must surface; never returns."""
+        self.exclusion_sweep(ctx, range(4))
         raise InternalContradiction(
             "two nonempty B-cells but every exclusion check passed",
             {
@@ -713,22 +710,8 @@ class _HalfDegreeAnalyzer:
                                 "cross-pair neighborhood differs but derivation verified",
                                 {"a": a, "b": b, "i": i, "j": j, "base": ctx.base},
                             )
-        # Apex exclusion sweep
-        self.fact(5)
-        for a in mask_vertices(ctx.bmask[istar]):
-            for jj in range(4):
-                if jj == istar:
-                    continue
-                nav = host.neighborhood_mask(a, ctx.base[jj])
-                for kk in range(4):
-                    if kk in (istar, jj):
-                        continue
-                    for w in mask_vertices(nav & ctx.amask[kk]):
-                        self.aaa_equal(ctx, w, kk, ctx.base[jj], jj)
-                        raise InternalContradiction(
-                            "apex exclusion violated with verified equalities",
-                            {"a": a, "w": w, "jj": jj, "kk": kk, "base": ctx.base},
-                        )
+        # The other B-cells are empty, so only the A-cell hits can fire.
+        self.exclusion_sweep(ctx, (istar,))
         # Empty pairs inside each balanced A-cell
         self.fact(6)
         for j in range(4):
@@ -860,13 +843,6 @@ class _HalfDegreeAnalyzer:
         return cert
 
 
-def _or_all(masks) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
-
-
 def analyze_half_degree(
     host: TripleSystem, on_fact: Callable[[str], None] | None = None
 ) -> Embedding | StructureCertificate:
@@ -923,15 +899,7 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
     ambient = n % 2 == 0 and delta == n // 2
     nm = _neighbor_matrix(host, base)
     full = (1 << n) - 1
-    amask = []
-    bmask = []
-    for i in range(4):
-        others = [x for x in range(4) if x != i]
-        j, k, l = others
-        amask.append(nm[j][k] & nm[k][l] & nm[l][j])
-        bmask.append(nm[i][j] & nm[i][k] & nm[i][l])
-    nonempty = [i for i in range(4) if bmask[i]]
-    unique = ambient and len(nonempty) == 1
+    amask, bmask = _ab_cells(nm)
     name = FACT_NAMES[fact_id]
 
     def quad_c5() -> Embedding | None:
@@ -1022,13 +990,16 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
                     return FactReport(fact_id, name, ambient, False, (base[i], base[jj], total))
         return FactReport(fact_id, name, ambient, True)
 
+    # Facts 6-10 assume the n/2 regime and exactly one nonempty B-cell.
+    nonempty = [i for i in range(4) if bmask[i]]
+    if not (ambient and len(nonempty) == 1):
+        return FactReport(
+            fact_id, name, False, True,
+            detail="needs exactly one nonempty B-cell under the n/2 regime",
+        )
+    i = nonempty[0]
+
     if fact_id == 6:
-        if not unique:
-            return FactReport(
-                fact_id, name, False, True,
-                detail="needs exactly one nonempty B-cell under the n/2 regime",
-            )
-        i = nonempty[0]
         r = bmask[i].bit_count()
         sizes = {amask[j].bit_count() for j in range(4) if j != i}
         if len(sizes) != 1:
@@ -1051,12 +1022,6 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
         return FactReport(fact_id, name, True, True)
 
     if fact_id == 7:
-        if not unique:
-            return FactReport(
-                fact_id, name, False, True,
-                detail="needs exactly one nonempty B-cell under the n/2 regime",
-            )
-        i = nonempty[0]
         for j in range(4):
             if j == i:
                 continue
@@ -1068,12 +1033,6 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
         return FactReport(fact_id, name, True, True)
 
     if fact_id == 8:
-        if not unique:
-            return FactReport(
-                fact_id, name, False, True,
-                detail="needs exactly one nonempty B-cell under the n/2 regime",
-            )
-        i = nonempty[0]
         for a in mask_vertices(bmask[i]):
             for j in range(4):
                 if j == i:
@@ -1089,12 +1048,6 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
         return FactReport(fact_id, name, True, True)
 
     if fact_id == 9:
-        if not unique:
-            return FactReport(
-                fact_id, name, False, True,
-                detail="needs exactly one nonempty B-cell under the n/2 regime",
-            )
-        i = nonempty[0]
         members = mask_vertices(bmask[i])
         for j in range(4):
             if j == i:
@@ -1104,19 +1057,12 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
                     a, b = members[x], members[y]
                     if not _is_k4(host, (base[i], base[j], a, b)):
                         continue
-                    s_nm = _neighbor_matrix(host, (base[i], base[j], a, b))
-                    apex_b = s_nm[0][1] & s_nm[0][2] & s_nm[0][3]
-                    if not apex_b:
+                    _, s_bmask = _ab_cells(_neighbor_matrix(host, (base[i], base[j], a, b)))
+                    if not s_bmask[0]:
                         return FactReport(fact_id, name, True, False, (base[j], a, b))
         return FactReport(fact_id, name, True, True)
 
     # fact_id == 10
-    if not unique:
-        return FactReport(
-            fact_id, name, False, True,
-            detail="needs exactly one nonempty B-cell under the n/2 regime",
-        )
-    i = nonempty[0]
     members = mask_vertices(bmask[i])
     empty = {
         (a, b): host.neighborhood_mask(a, b) == 0 for a in members for b in members if a != b

@@ -80,10 +80,9 @@ class TestCodegreeTable:
         rng = random.Random(7)
         host = random_host(7, rng)
         table = build_codegree_table(host)
-        for (u, v), nbhd in table.neighborhoods.items():
-            for w in range(host.n):
-                assert (w in nbhd) == host.has_edge(u, v, w) if w not in (u, v) else True
-            assert nbhd == set(host.neighborhood(v, u))  # symmetry
+        scanned = {p for e in host.edges for p in itertools.combinations(e, 2)}
+        assert table.support_pairs == scanned
+        assert table.min_positive_codegree == scan_min_positive_codegree(host)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 8), st.randoms(use_true_random=False))

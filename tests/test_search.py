@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import random
 
 import pytest
 
@@ -8,8 +7,6 @@ from triplesys import (
     CATALOG,
     PreconditionViolated,
     TripleSystem,
-    canonical_key,
-    complete_triple_system,
     construct_complete_k_partite,
     decide_exists,
     exact_copos_ex,
@@ -21,8 +18,6 @@ from triplesys import (
 )
 from triplesys import search
 from triplesys.patterns import embeds_through
-
-from conftest import random_host
 
 
 def brute_force_copos_ex(n: int, pattern_name: str) -> int:
@@ -36,44 +31,6 @@ def brute_force_copos_ex(n: int, pattern_name: str) -> int:
         if delta is not None and delta > best and is_free(host, pattern):
             best = delta
     return best
-
-
-class TestCanonicalKey:
-    def test_invariant_under_100_random_relabelings(self):
-        rng = random.Random(5)
-        host = random_host(6, rng)
-        key = canonical_key(host)
-        for _ in range(100):
-            perm = list(range(6))
-            rng.shuffle(perm)
-            assert canonical_key(host.relabel(perm)) == key
-
-    def test_distinguishes_single_edge_from_edgeless(self):
-        assert canonical_key(TripleSystem(3, [(0, 1, 2)])) != canonical_key(TripleSystem(3))
-
-    def test_two_labelings_of_the_partite_host_agree(self):
-        host, _ = construct_complete_k_partite(6, 3)
-        shuffled = host.relabel((4, 5, 0, 1, 2, 3))  # relabel the parts
-        assert canonical_key(host) == canonical_key(shuffled)
-
-    def test_exactness_on_all_four_vertex_hosts(self):
-        # equal keys must mean isomorphic: check by explicit orbit computation
-        triples = list(itertools.combinations(range(4), 3))
-        by_key = {}
-        for bits in range(1 << 4):
-            host = TripleSystem(4, (triples[i] for i in range(4) if bits >> i & 1))
-            by_key.setdefault(canonical_key(host), set()).add(host.edges)
-        for members in by_key.values():
-            # every member of a key class is a relabeling of the first
-            first = TripleSystem(4, next(iter(members)))
-            orbit = {
-                first.relabel(p).edges for p in itertools.permutations(range(4))
-            }
-            assert members <= orbit
-
-    def test_rejects_large_hosts(self):
-        with pytest.raises(PreconditionViolated):
-            canonical_key(complete_triple_system(8))
 
 
 class TestDecision:

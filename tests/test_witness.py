@@ -1,28 +1,31 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from triplesys import (
     C5,
     K4,
     Embedding,
+    InternalContradiction,
     PreconditionViolated,
     StructureCertificate,
     TripleSystem,
     analyze_half_degree,
     check_fact,
     complete_triple_system,
-    compute_mij,
     construct_complete_k_partite,
     find_c5_witness,
     find_c5minus_witness,
     is_free,
+    mask_vertices,
     min_positive_codegree,
     validate_embedding,
 )
 from triplesys.witness import FACT_NAMES, _extract_c5_k4free
 
-from conftest import random_host_above
+from conftest import random_host, random_host_above
 
 
 def _without_pair(n, u, v):
@@ -315,12 +318,77 @@ class TestCheckFact:
             assert check_fact(host, (0, 1, 2, 3), fact_id).name == name
 
 
-class TestMij:
-    def test_reduced_neighborhood(self):
-        host = complete_triple_system(6)
-        m = compute_mij(host, (0, 1, 2, 3), (0, 1))
-        assert m.vertices == {4, 5}
-        assert m.pair == (0, 1)
+def _planted_cells_host(d, b_sizes, rng):
+    """A host whose base (0, 1, 2, 3) has cells of sizes |A_i| = b_i + d, |B_i| = b_i.
+
+    Every edge through two base vertices follows the planted cells, so each
+    base pair has co-degree exactly n/2 and the pairings are complementary;
+    the edges with at most one base vertex are random.
+    """
+    cells = [(0, i) for i in range(4) for _ in range(b_sizes[i] + d - 1)]
+    cells += [(1, i) for i in range(4) for _ in range(b_sizes[i])]
+    n = 4 + len(cells)
+    edges = [t for t in itertools.combinations(range(4, n), 3) if rng.random() < 0.5]
+    edges += [(v, w, x) for v in range(4) for w, x in itertools.combinations(range(4, n), 2)
+              if rng.random() < 0.5]
+    edges += list(itertools.combinations(range(4), 3))
+    for w, (kind, i) in enumerate(cells, start=4):
+        for j, k in itertools.combinations(range(4), 2):
+            if (i in (j, k)) == (kind == 1):
+                edges.append((j, k, w))
+    return TripleSystem(n, edges)
+
+
+class TestABCells:
+    """_ab_cells against set intersections of the base-pair neighborhoods."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_cells_match_set_intersections(self, data):
+        from triplesys.witness import (
+            _ab_cells, _FoundC5, _HalfDegreeAnalyzer, _neighbor_matrix,
+        )
+
+        rng = data.draw(st.randoms(use_true_random=False))
+        if data.draw(st.booleans()):
+            d = data.draw(st.integers(1, 2))
+            b_sizes = data.draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
+            assume(2 * sum(b_sizes) + 4 * d <= 12)
+            host = _planted_cells_host(d, b_sizes, rng)
+            base = (0, 1, 2, 3)
+        else:
+            n = data.draw(st.integers(4, 12))
+            base = tuple(rng.sample(range(n), 4))
+            k4 = list(itertools.combinations(base, 3))
+            host = TripleSystem(n, random_host(n, rng, rng.random()).edges + tuple(k4))
+        perm = list(range(host.n))
+        rng.shuffle(perm)
+        host = host.relabel(perm)
+        base = tuple(perm[v] for v in base)
+
+        def nbhd(i, j):
+            return frozenset(host.neighborhood(base[i], base[j]))
+
+        amask, bmask = _ab_cells(_neighbor_matrix(host, base))
+        a_sets, b_sets = [], []
+        for i in range(4):
+            j, k, l = (x for x in range(4) if x != i)
+            a_sets.append(nbhd(j, k) & nbhd(k, l) & nbhd(j, l))
+            b_sets.append(nbhd(i, j) & nbhd(i, k) & nbhd(i, l))
+            assert frozenset(mask_vertices(amask[i])) == a_sets[i]
+            assert frozenset(mask_vertices(bmask[i])) == b_sets[i]
+        analyzer = _HalfDegreeAnalyzer(host)
+        try:
+            analyzer.analyzed_nm(base)
+        except (_FoundC5, InternalContradiction):
+            return
+        # Exact co-degrees n/2 and complementary pairings force a partition,
+        # so make_ctx must accept the base.
+        ctx = analyzer.make_ctx(base)
+        assert (ctx.amask, ctx.bmask) == (amask, bmask)
+        cells = a_sets + b_sets
+        assert sum(len(c) for c in cells) == host.n
+        assert frozenset().union(*cells) == set(range(host.n))
 
 
 class TestQuadExtraction:
