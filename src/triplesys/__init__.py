@@ -7,7 +7,6 @@ values at small vertex counts by exhaustive search.
 """
 
 from .core import (
-    CodegreeTable,
     PartitionSpec,
     TripleSystem,
     build_codegree_table,
@@ -61,7 +60,6 @@ __all__ = [
     "C5",
     "C5MINUS",
     "CATALOG",
-    "CodegreeTable",
     "Embedding",
     "F32",
     "FactReport",

@@ -16,7 +16,6 @@ from .core import (
     TripleSystem,
     build_codegree_table,
     construct_complete_k_partite,
-    min_codegree,
     min_positive_codegree,
 )
 from .errors import InternalContradiction, PreconditionViolated
@@ -51,6 +50,13 @@ def _load(path: str) -> TripleSystem:
         raise _CliFailure(EXIT_IO, f"{path}: {exc}") from exc
 
 
+def _save(path: str, host: TripleSystem) -> None:
+    try:
+        write_hypergraph(path, host)
+    except OSError as exc:
+        raise _CliFailure(EXIT_IO, f"cannot write {path}: {exc}") from exc
+
+
 class _CliFailure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -59,10 +65,7 @@ class _CliFailure(Exception):
 
 def cmd_construct(args) -> int:
     host, _ = construct_complete_k_partite(args.n, args.k)
-    try:
-        write_hypergraph(args.output, host)
-    except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot write {args.output}: {exc}") from exc
+    _save(args.output, host)
     delta = min_positive_codegree(host)
     print(f"min_positive_codegree {delta if delta is not None else 'undefined'}")
     print(f"edges {host.edge_count}")
@@ -72,19 +75,14 @@ def cmd_construct(args) -> int:
 def cmd_stats(args) -> int:
     host = _load(args.input)
     table = build_codegree_table(host)
+    present = [c for c, count in enumerate(table) if count]  # co-degrees that occur
+    positive = [c for c in present if c] or ["undefined"]
     print(f"n {host.n}")
     print(f"edges {host.edge_count}")
-    if table.min_positive_codegree is None:
-        print("min_positive_codegree undefined")
-        print("support_pairs 0")
-        print(f"min_codegree {min_codegree(host)}")
-        print("max_codegree undefined")
-    else:
-        degrees = [host.codegree(u, v) for u, v in table.support_pairs]
-        print(f"min_positive_codegree {table.min_positive_codegree}")
-        print(f"support_pairs {len(table.support_pairs)}")
-        print(f"min_codegree {min_codegree(host)}")
-        print(f"max_codegree {max(degrees)}")
+    print(f"min_positive_codegree {positive[0]}")
+    print(f"support_pairs {sum(table[1:])}")
+    print(f"min_codegree {present[0] if present else 0}")
+    print(f"max_codegree {positive[-1]}")
     return EXIT_OK
 
 
@@ -136,6 +134,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    if args.jobs < 1:
+        raise _CliFailure(EXIT_PRECONDITION, f"--jobs must be at least 1, got {args.jobs}")
     start = time.perf_counter()
     outcome = exact_copos_ex(
         args.n,
@@ -144,10 +144,7 @@ def cmd_exact(args) -> int:
         on_progress=lambda line: print(line, file=sys.stderr),
     )
     sidecar = args.extremal_out or f"extremal_n{args.n}_{args.pattern}.txt"
-    try:
-        write_hypergraph(sidecar, outcome.extremal)
-    except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot write {sidecar}: {exc}") from exc
+    _save(sidecar, outcome.extremal)
     payload = {
         "kind": "search-outcome",
         "n": outcome.n,
@@ -164,10 +161,7 @@ def cmd_exact(args) -> int:
 def cmd_localsearch(args) -> int:
     host = local_search_lower_bound(args.n, args.pattern, args.budget, args.seed)
     if args.output:
-        try:
-            write_hypergraph(args.output, host)
-        except OSError as exc:
-            raise _CliFailure(EXIT_IO, f"cannot write {args.output}: {exc}") from exc
+        _save(args.output, host)
     payload = {
         "kind": "local-search",
         "n": args.n,

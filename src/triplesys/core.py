@@ -15,8 +15,6 @@ from .errors import PreconditionViolated
 
 MAX_VERTICES = 64
 
-Edge = tuple[int, int, int]
-
 
 def mask_vertices(mask: int) -> tuple[int, ...]:
     """Ascending vertex indices of a set represented as a bitmask."""
@@ -41,24 +39,34 @@ class TripleSystem:
     def __init__(self, n: int, edges=()):
         if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
-        norm: set[Edge] = set()
+        nbr = [[0] * n for _ in range(n)]
         for e in edges:
             t = tuple(sorted(e))
             if len(t) != 3 or len(set(t)) != 3:
                 raise ValueError(f"edge {t} does not have 3 distinct vertices")
-            if not all(0 <= v < n for v in t):
+            u, v, w = t
+            if u < 0 or w >= n:
                 raise ValueError(f"edge {t} has a vertex outside 0..{n - 1}")
-            norm.add(t)  # set semantics: a repeated edge collapses
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-        nbr = [[0] * n for _ in range(n)]
-        for u, v, w in self.edges:
+            # OR, not XOR: a repeated edge collapses
             nbr[u][v] |= 1 << w
             nbr[v][u] |= 1 << w
             nbr[u][w] |= 1 << v
             nbr[w][u] |= 1 << v
             nbr[v][w] |= 1 << u
             nbr[w][v] |= 1 << u
+        # Read the edges back off the masks: (u, v, w) with u < v < w, in
+        # lexicographic order because u, v and the bits of w all ascend.
+        out = []
+        for u in range(n):
+            row = nbr[u]
+            for v in range(u + 1, n):
+                m = row[v] >> (v + 1)
+                while m:
+                    low = m & -m
+                    out.append((u, v, low.bit_length() + v))
+                    m ^= low
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(out))
         object.__setattr__(self, "_nbr", nbr)
 
     def __setattr__(self, name, value):
@@ -122,14 +130,8 @@ class HostState:
     __slots__ = ("pair_masks", "hist")
 
     def __init__(self, host: TripleSystem):
-        n = host.n
         self.pair_masks = [row[:] for row in host.pair_masks]
-        hist = [0] * max(n - 1, 1)
-        for u in range(n):
-            row = self.pair_masks[u]
-            for v in range(u + 1, n):
-                hist[row[v].bit_count()] += 1
-        self.hist = hist
+        self.hist = build_codegree_table(host)
 
     def toggle(self, edge) -> None:
         """Add the triple if absent, remove it if present."""
@@ -170,53 +172,31 @@ def complete_triple_system(n: int) -> TripleSystem:
     return TripleSystem(n, itertools.combinations(range(n), 3))
 
 
-@dataclass(frozen=True)
-class CodegreeTable:
-    """The support pairs of a host (co-degree > 0), plus the derived invariants.
+def build_codegree_table(host: TripleSystem) -> list[int]:
+    """The co-degree histogram: ``table[c]`` pairs {u, v} have co-degree c.
 
-    ``min_positive_codegree`` is None exactly when the host has no edges:
-    the quantity is only defined for hosts with at least one support pair.
+    One entry per possible co-degree 0..n-2, and at least one entry, so
+    ``table[0]`` exists on every host.  Every other co-degree fact in this
+    module is read off this one scan of the pair table.
     """
-
-    host: TripleSystem
-    min_positive_codegree: int | None
-    support_pairs: frozenset[tuple[int, int]]
-
-
-def build_codegree_table(host: TripleSystem) -> CodegreeTable:
-    support: set[tuple[int, int]] = set()
-    best: int | None = None
-    for u in range(host.n):
-        for v in range(u + 1, host.n):
-            c = host.codegree(u, v)
-            if c:
-                support.add((u, v))
-                if best is None or c < best:
-                    best = c
-    return CodegreeTable(host, best, frozenset(support))
+    n = host.n
+    table = [0] * max(n - 1, 1)
+    for u, row in enumerate(host._nbr):
+        for m in row[u + 1:]:
+            table[m.bit_count()] += 1
+    return table
 
 
 def min_positive_codegree(host: TripleSystem) -> int | None:
     """Minimum co-degree over pairs with nonzero co-degree; None if edgeless."""
-    best: int | None = None
-    for u in range(host.n):
-        row = host._nbr[u]
-        for v in range(u + 1, host.n):
-            c = row[v].bit_count()
-            if c and (best is None or c < best):
-                best = c
-    return best
+    table = build_codegree_table(host)
+    return next((c for c in range(1, len(table)) if table[c]), None)
 
 
 def min_codegree(host: TripleSystem) -> int:
-    """Minimum co-degree over all pairs (the non-positive variant)."""
-    if host.n < 2:
-        return 0
-    return min(
-        host._nbr[u][v].bit_count()
-        for u in range(host.n)
-        for v in range(u + 1, host.n)
-    )
+    """Minimum co-degree over all pairs (the non-positive variant); 0 if n < 2."""
+    table = build_codegree_table(host)
+    return next((c for c, count in enumerate(table) if count), 0)
 
 
 @dataclass(frozen=True)

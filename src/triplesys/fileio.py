@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 
-from .core import TripleSystem
+from .core import MAX_VERTICES, TripleSystem
 from .patterns import Embedding, pattern_by_name, validate_embedding
 from .witness import StructureCertificate
 
@@ -41,8 +41,8 @@ def parse_hypergraph(text: str) -> TripleSystem:
             if not m:
                 raise ParseError(lineno, f"expected header 'n <count>', got {line!r}")
             n = int(m.group(1))
-            if n > 64:
-                raise ParseError(lineno, f"vertex count {n} exceeds the cap of 64")
+            if n > MAX_VERTICES:
+                raise ParseError(lineno, f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
             continue
         m = _EDGE_LINE.match(line)
         if not m:

@@ -268,23 +268,24 @@ def decide_exists(n: int, pattern: Pattern, k: int, jobs: int = 1):
     exactly as a sequential run would.
     """
     m = min(n, 5)
-    masks = _canonical_top_masks(m)
-    branch_args = [(n, pattern.name, k, m, mask) for mask in masks]
-    nodes = 0
-    if jobs <= 1:
-        for args in branch_args:
-            edges, branch_nodes = _run_branch(args)
-            nodes += branch_nodes
-            if edges is not None:
-                return TripleSystem(n, edges), nodes
-        return None, nodes
+    branch_args = [(n, pattern.name, k, m, mask) for mask in _canonical_top_masks(m)]
+    workers = min(jobs, len(branch_args))  # never more workers than branches
+    if workers <= 1:
+        return _first_success(n, map(_run_branch, branch_args))
+    # Lazy: loading the pool machinery costs more than importing the package.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for edges, branch_nodes in pool.map(_run_branch, branch_args):
-            nodes += branch_nodes
-            if edges is not None:
-                return TripleSystem(n, edges), nodes
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _first_success(n, pool.map(_run_branch, branch_args))
+
+
+def _first_success(n: int, results):
+    """The first branch's host in branch order, and the nodes counted up to it."""
+    nodes = 0
+    for edges, branch_nodes in results:
+        nodes += branch_nodes
+        if edges is not None:
+            return TripleSystem(n, edges), nodes
     return None, nodes
 
 

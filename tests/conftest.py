@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from triplesys import TripleSystem, complete_triple_system, min_positive_codegree
+from triplesys import TripleSystem, complete_triple_system
+from triplesys.core import HostState
 
 
 def random_host(n: int, rng: random.Random, density: float = 0.5) -> TripleSystem:
@@ -16,16 +17,23 @@ def random_host(n: int, rng: random.Random, density: float = 0.5) -> TripleSyste
 
 def random_host_above(n: int, threshold: int, rng: random.Random) -> TripleSystem:
     """Random edge deletions from the complete host, rejection-sampled so the
-    minimum positive co-degree never drops below the threshold."""
-    edges = set(complete_triple_system(n).edges)
+    minimum positive co-degree never drops below the threshold.
+
+    Each deletion is tried as a toggle on one HostState and toggled back if
+    rejected, so no trial builds a host.
+    """
+    complete = complete_triple_system(n)
+    edges = set(complete.edges)
     order = sorted(edges)
     rng.shuffle(order)
+    state = HostState(complete)
     for t in order:
-        trial = edges - {t}
-        host = TripleSystem(n, trial)
-        delta = min_positive_codegree(host)
-        if delta is not None and delta >= threshold:
-            edges = trial
+        state.toggle(t)
+        delta = state.score()[0]  # 0 once edgeless
+        if delta and delta >= threshold:
+            edges.remove(t)
+        else:
+            state.toggle(t)
     return TripleSystem(n, edges)
 
 

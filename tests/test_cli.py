@@ -176,6 +176,19 @@ class TestExact:
         code, stdout, _ = run(capsys, "exact", "--n", "4", "--pattern", "c5", "--jobs", "2")
         assert code == 0 and json.loads(stdout)["value"] == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, "exact", "--n", "4", "--pattern", "c5", "--jobs", jobs)
+        assert code == 2 and stdout == "" and "--jobs" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_sidecar(self, capsys):
+        code, stdout, err = run(
+            capsys, "exact", "--n", "4", "--pattern", "c5", "--extremal-out", "/nonexistent/h"
+        )
+        assert code == 1 and stdout == "" and "cannot write" in err
+
 
 class TestLocalSearch:
     def test_seed_required(self, capsys):
@@ -193,6 +206,14 @@ class TestLocalSearch:
         assert code == 0
         assert json.loads(stdout)["minPositiveCodegree"] == 3
         assert read_hypergraph(str(out)) == construct_complete_k_partite(9, 3)[0]
+
+    def test_unwritable_path(self, capsys):
+        code, stdout, err = run(
+            capsys,
+            "localsearch", "--n", "9", "--pattern", "c5minus",
+            "--budget", "0", "--seed", "7", "-o", "/nonexistent/h",
+        )
+        assert code == 1 and stdout == "" and "cannot write" in err
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import random
 
@@ -14,7 +16,9 @@ from triplesys import (
     known_extremal_value,
     min_codegree,
     min_positive_codegree,
+    write_hypergraph,
 )
+from triplesys import cli
 from triplesys.core import HostState
 
 from conftest import random_host, scan_min_positive_codegree
@@ -34,6 +38,20 @@ class TestTripleSystem:
     def test_normalizes_and_dedupes(self):
         h = TripleSystem(5, [(2, 1, 0), (0, 1, 2), (4, 3, 2)])
         assert h.edges == ((0, 1, 2), (2, 3, 4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 9), st.randoms(use_true_random=False))
+    def test_unsorted_and_repeated_edges(self, n, rng):
+        edges = [tuple(rng.sample(range(n), 3)) for _ in range(rng.randrange(3 * n))]
+        edges += rng.sample(edges, len(edges) // 2)  # repeats, in any vertex order
+        edges = [tuple(rng.sample(e, 3)) for e in edges]
+        host = TripleSystem(n, edges)
+        assert host.edges == tuple(sorted({tuple(sorted(e)) for e in edges}))
+        masks = [[0] * n for _ in range(n)]
+        for e in edges:
+            for u, v, w in itertools.permutations(e):
+                masks[u][v] |= 1 << w
+        assert host.pair_masks == masks
 
     def test_immutable(self):
         h = TripleSystem(3, [(0, 1, 2)])
@@ -57,38 +75,78 @@ class TestTripleSystem:
             h.relabel((0, 0, 1, 2))
 
 
+def scan_codegrees(host: TripleSystem) -> list[int]:
+    """Co-degree of every pair, by a per-pair scan of the edge list."""
+    return [
+        sum(1 for e in host.edges if u in e and v in e)
+        for u, v in itertools.combinations(range(host.n), 2)
+    ]
+
+
 class TestCodegreeTable:
     def test_single_edge(self):
-        table = build_codegree_table(TripleSystem(3, [(0, 1, 2)]))
-        assert table.min_positive_codegree == 1
-        assert table.support_pairs == {(0, 1), (0, 2), (1, 2)}
+        assert build_codegree_table(TripleSystem(3, [(0, 1, 2)])) == [0, 3]
+        assert build_codegree_table(TripleSystem(4, [(0, 1, 2)])) == [3, 3, 0]
 
     def test_complete_on_five(self):
-        assert min_positive_codegree(complete_triple_system(5)) == 3
+        host = complete_triple_system(5)
+        assert build_codegree_table(host) == [0, 0, 0, 10]
+        assert min_positive_codegree(host) == 3
 
     def test_balanced_3_partite_9(self):
         host, _ = construct_complete_k_partite(9, 3)
+        assert build_codegree_table(host) == [9, 0, 0, 27, 0, 0, 0, 0]
         assert min_positive_codegree(host) == 3
 
     def test_edgeless_undefined(self):
         h = TripleSystem(10)
         assert min_positive_codegree(h) is None
-        assert build_codegree_table(h).min_positive_codegree is None
+        assert build_codegree_table(h) == [45] + [0] * 8
         assert min_codegree(h) == 0
+        for n in (0, 1):
+            assert build_codegree_table(TripleSystem(n)) == [0]
+            assert min_positive_codegree(TripleSystem(n)) is None
+            assert min_codegree(TripleSystem(n)) == 0
 
     def test_table_matches_host(self):
         rng = random.Random(7)
         host = random_host(7, rng)
+        degrees = scan_codegrees(host)
         table = build_codegree_table(host)
-        scanned = {p for e in host.edges for p in itertools.combinations(e, 2)}
-        assert table.support_pairs == scanned
-        assert table.min_positive_codegree == scan_min_positive_codegree(host)
+        assert table == [degrees.count(c) for c in range(6)]
+        assert min_positive_codegree(host) == scan_min_positive_codegree(host)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 8), st.randoms(use_true_random=False))
     def test_min_positive_codegree_matches_edge_scan(self, n, rng):
         host = random_host(n, rng)
         assert min_positive_codegree(host) == scan_min_positive_codegree(host)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 9),
+        st.one_of(st.just(0.0), st.floats(0, 1)),
+        st.randoms(use_true_random=False),
+    )
+    def test_histogram_and_stats_match_edge_scan(self, tmp_path_factory, n, density, rng):
+        host = random_host(n, rng, density)
+        degrees = scan_codegrees(host)
+        positive = [c for c in degrees if c]
+        assert build_codegree_table(host) == [degrees.count(c) for c in range(max(n - 1, 1))]
+        assert min_codegree(host) == min(degrees, default=0)
+        path = tmp_path_factory.mktemp("stats") / "host.txt"
+        write_hypergraph(str(path), host)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["stats", str(path)]) == 0
+        assert out.getvalue().splitlines() == [
+            f"n {n}",
+            f"edges {len(host.edges)}",
+            f"min_positive_codegree {min(positive, default='undefined')}",
+            f"support_pairs {len(positive)}",
+            f"min_codegree {min(degrees, default=0)}",
+            f"max_codegree {max(positive, default='undefined')}",
+        ]
 
 
 class TestHostState:

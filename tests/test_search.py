@@ -55,6 +55,33 @@ class TestDecision:
         none2, n2 = decide_exists(6, pattern, 3, jobs=2)
         assert none1 is None and none2 is None and n1 == n2
 
+    def test_workers_are_capped_at_the_branch_count(self, monkeypatch):
+        # A stand-in pool runs the branches in this process, so no worker
+        # is ever started; it only records how many were asked for.
+        import concurrent.futures
+
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        pattern = pattern_by_name("c5")
+        assert decide_exists(6, pattern, 2, jobs=5000) == decide_exists(6, pattern, 2, jobs=1)
+        assert decide_exists(4, pattern, 2, jobs=5000) == decide_exists(4, pattern, 2, jobs=1)
+        assert asked == [len(search._canonical_top_masks(5)), len(search._canonical_top_masks(4))]
+        assert decide_exists(6, pattern, 2, jobs=0) == decide_exists(6, pattern, 2, jobs=1)
+        assert len(asked) == 2  # jobs < 2 runs in this process
+
 
 class TestExactValues:
     @pytest.mark.parametrize(
