@@ -7,7 +7,6 @@ values at small vertex counts by exhaustive search.
 """
 
 from .core import (
-    PartitionSpec,
     TripleSystem,
     build_codegree_table,
     complete_triple_system,
@@ -67,7 +66,6 @@ __all__ = [
     "K4",
     "K4MINUS",
     "ParseError",
-    "PartitionSpec",
     "Pattern",
     "PreconditionViolated",
     "SearchOutcome",

@@ -9,7 +9,6 @@ throughout the witness extractors O(1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import PreconditionViolated
 
@@ -23,6 +22,22 @@ def mask_vertices(mask: int) -> tuple[int, ...]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
+
+
+def _mask_edges(nbr) -> tuple[tuple[int, int, int], ...]:
+    """The triples (u, v, w), u < v < w, of a pair-mask table, read off the
+    masks in lexicographic order because u, v and the bits of w all ascend."""
+    n = len(nbr)
+    out = []
+    for u in range(n):
+        row = nbr[u]
+        for v in range(u + 1, n):
+            m = row[v] >> (v + 1)
+            while m:
+                low = m & -m
+                out.append((u, v, low.bit_length() + v))
+                m ^= low
     return tuple(out)
 
 
@@ -54,19 +69,8 @@ class TripleSystem:
             nbr[w][u] |= 1 << v
             nbr[v][w] |= 1 << u
             nbr[w][v] |= 1 << u
-        # Read the edges back off the masks: (u, v, w) with u < v < w, in
-        # lexicographic order because u, v and the bits of w all ascend.
-        out = []
-        for u in range(n):
-            row = nbr[u]
-            for v in range(u + 1, n):
-                m = row[v] >> (v + 1)
-                while m:
-                    low = m & -m
-                    out.append((u, v, low.bit_length() + v))
-                    m ^= low
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(out))
+        object.__setattr__(self, "edges", _mask_edges(nbr))
         object.__setattr__(self, "_nbr", nbr)
 
     def __setattr__(self, name, value):
@@ -158,6 +162,10 @@ class HostState:
         hist[c + d] += 1
         rv[w] = rw[v] = m ^ (1 << u)
 
+    def snapshot(self) -> TripleSystem:
+        """A snapshot of the masks as an immutable host."""
+        return TripleSystem(len(self.pair_masks), _mask_edges(self.pair_masks))
+
     def score(self) -> tuple[int, int]:
         """(min positive co-degree, -number of pairs attaining it); (0, 0) if edgeless."""
         hist = self.hist
@@ -199,33 +207,10 @@ def min_codegree(host: TripleSystem) -> int:
     return next((c for c, count in enumerate(table) if count), 0)
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """An ordered vertex partition."""
-
-    parts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for part in self.parts:
-            for v in part:
-                if v in seen:
-                    raise ValueError(f"vertex {v} appears in two parts")
-                seen.add(v)
-        if seen != set(range(len(seen))):
-            raise ValueError("parts must cover a dense 0-indexed vertex set")
-
-    @property
-    def n(self) -> int:
-        return sum(len(p) for p in self.parts)
-
-    def is_balanced(self) -> bool:
-        sizes = [len(p) for p in self.parts]
-        return max(sizes) - min(sizes) <= 1
-
-
-def construct_complete_k_partite(n: int, k: int) -> tuple[TripleSystem, PartitionSpec]:
-    """Complete balanced k-partite triple system on n vertices.
+def construct_complete_k_partite(
+    n: int, k: int
+) -> tuple[TripleSystem, tuple[tuple[int, ...], ...]]:
+    """Complete balanced k-partite triple system on n vertices, and its parts.
 
     Parts have sizes ceil(n/k) or floor(n/k), larger parts first, with
     vertices assigned in increasing index order; the edges are exactly the
@@ -252,7 +237,7 @@ def construct_complete_k_partite(n: int, k: int) -> tuple[TripleSystem, Partitio
         for u, v, w in itertools.combinations(range(n), 3)
         if part_of[u] != part_of[v] and part_of[v] != part_of[w] and part_of[u] != part_of[w]
     ]
-    return TripleSystem(n, edges), PartitionSpec(tuple(parts))
+    return TripleSystem(n, edges), tuple(parts)
 
 
 #: Families whose extremal value is known in closed form.

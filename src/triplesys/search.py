@@ -6,7 +6,10 @@ pair states: every pair is either dead (co-degree 0) or live (co-degree at
 least k).  A live pair with fewer than k remaining compatible third
 vertices fails immediately; within a completed pair skeleton, edges are
 chosen among the skeleton's triangles with unit propagation on the per-pair
-counts and incremental pattern detection through each added edge.  Isomorph
+counts and incremental pattern detection through each added edge.  The
+whole state is bitmask rows in the pair-mask layout (live and not-dead
+pairs in the skeleton, open and chosen triangles per pair in the edge
+phase), so every count is a popcount of a mask and cannot drift.  Isomorph
 rejection happens at the top of the tree: the pair states inside the first
 min(n, 5) vertices are enumerated once per orbit under that symmetric
 group, by brute-force canonical minimization.
@@ -98,156 +101,131 @@ def _canonical_top_masks(m: int) -> tuple[int, ...]:
 
 
 class _Decision:
-    """One decision run: does an F-free host with min positive co-degree >= k exist."""
+    """One decision run: does an F-free host with min positive co-degree >= k exist.
+
+    Skeleton phase: ``live[u]`` holds the pairs at u decided live, ``ndadj[u]``
+    those not decided dead.  Edge phase: ``opened[u][v]`` holds the third
+    vertices of the live pair's triangles not set out, beside the HostState
+    masks of the chosen ones; its undecided triangles are ``opened & ~chosen``.
+    """
 
     def __init__(self, n: int, pattern: Pattern, k: int):
         self.n = n
         self.pattern = pattern
         self.k = k
         self.nodes = 0
-        self.all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         self.empty = TripleSystem(n)
 
     def run_branch(self, top_pairs, top_mask: int):
         """Explore one top-level pair-state assignment; edges of the found host or None."""
         n = self.n
-        state: dict[tuple[int, int], bool] = {}  # decided pairs: True = live
+        live = [0] * n
         ndadj = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
-        for i, p in enumerate(top_pairs):
-            state[p] = bool(top_mask >> i & 1)
-            if not state[p]:
-                u, v = p
+        for i, (u, v) in enumerate(top_pairs):
+            if top_mask >> i & 1:
+                live[u] |= 1 << v
+                live[v] |= 1 << u
+            else:
                 ndadj[u] &= ~(1 << v)
                 ndadj[v] &= ~(1 << u)
-        if not self._live_ok(state, ndadj):
+        if not all(self._live_ok(live, ndadj, u) for u in range(n)):
             self.nodes += 1
             return None
-        rest = [p for p in self.all_pairs if p not in state]
-        return self._assign(state, ndadj, rest, 0)
+        top = set(top_pairs)
+        rest = [p for p in _pairs_within(n) if p not in top]
+        return self._assign(live, ndadj, rest, 0)
 
-    def _live_ok(self, state, ndadj) -> bool:
-        k = self.k
-        for (u, v), live in state.items():
-            if live:
-                cand = ndadj[u] & ndadj[v] & ~(1 << u) & ~(1 << v)
-                if cand.bit_count() < k:
-                    return False
-        return True
+    def _live_ok(self, live, ndadj, u) -> bool:
+        """Every live pair at u keeps k candidate third vertices."""
+        return all((ndadj[u] & ndadj[v]).bit_count() >= self.k for v in mask_vertices(live[u]))
 
-    def _assign(self, state, ndadj, rest, idx):
+    def _assign(self, live, ndadj, rest, idx):
         self.nodes += 1
         if idx == len(rest):
-            if not any(state.values()):
-                return None
-            return self._edge_phase(state)
+            return self._edge_phase(live) if any(live) else None
         u, v = rest[idx]
         # live first: solution-bearing skeletons are dense
-        state[(u, v)] = True
-        cand = ndadj[u] & ndadj[v] & ~(1 << u) & ~(1 << v)
-        if cand.bit_count() >= self.k:
-            found = self._assign(state, ndadj, rest, idx + 1)
+        if (ndadj[u] & ndadj[v]).bit_count() >= self.k:
+            live[u] |= 1 << v
+            live[v] |= 1 << u
+            found = self._assign(live, ndadj, rest, idx + 1)
             if found is not None:
                 return found
-        state[(u, v)] = False
+            live[u] &= ~(1 << v)
+            live[v] &= ~(1 << u)
+        # Killing {u, v} shrinks only the candidates of live pairs at u or v.
         ndadj[u] &= ~(1 << v)
         ndadj[v] &= ~(1 << u)
-        if self._live_ok(state, ndadj):
-            found = self._assign(state, ndadj, rest, idx + 1)
+        if self._live_ok(live, ndadj, u) and self._live_ok(live, ndadj, v):
+            found = self._assign(live, ndadj, rest, idx + 1)
             if found is not None:
                 return found
-        del state[(u, v)]
         ndadj[u] |= 1 << v
         ndadj[v] |= 1 << u
         return None
 
-    def _edge_phase(self, state):
+    def _edge_phase(self, live):
         """Pick edges inside the live skeleton: every live pair needs k of its
         triangles, dead pairs none, and no pattern copy may complete."""
         n, k, pattern = self.n, self.k, self.pattern
-        live = [p for p, flag in state.items() if flag]
-        ladj = [0] * n
-        for u, v in live:
-            ladj[u] |= 1 << v
-            ladj[v] |= 1 << u
-        tris = []
-        for u, v in sorted(live):
-            for w in mask_vertices(ladj[u] & ladj[v]):
-                if w > v:
-                    tris.append((u, v, w))
-        tris.sort()
-        pair_tris: dict[tuple[int, int], list[int]] = {p: [] for p in live}
-        for ti, (u, v, w) in enumerate(tris):
-            pair_tris[(u, v)].append(ti)
-            pair_tris[(u, w)].append(ti)
-            pair_tris[(v, w)].append(ti)
+        # triangles of the skeleton in lexicographic order
+        tris = [
+            (u, v, w)
+            for u in range(n)
+            for v in mask_vertices(live[u] >> (u + 1) << (u + 1))
+            for w in mask_vertices(live[u] & live[v] >> (v + 1) << (v + 1))
+        ]
+        opened = [[live[u] & live[v] for v in range(n)] for u in range(n)]  # read at live pairs
+        state = HostState(self.empty)
+        chosen, toggle = state.pair_masks, state.toggle
+        trail: list[tuple] = []  # (flip, triangle): each flip is its own inverse
 
-        TS_UNDEC, TS_IN, TS_OUT = 0, 1, 2
-        tstate = [TS_UNDEC] * len(tris)
-        # edges chosen so far; the co-degree of a pair counts its triangles in
-        host = HostState(self.empty)
-        nbr, toggle = host.pair_masks, host.toggle
-        cnt_undec = {p: len(pair_tris[p]) for p in live}
-        trail: list[tuple] = []
+        def flip_open(t) -> None:
+            u, v, w = t
+            ru, rv, rw = opened[u], opened[v], opened[w]
+            ru[v] = rv[u] = ru[v] ^ (1 << w)
+            ru[w] = rw[u] = ru[w] ^ (1 << v)
+            rv[w] = rw[v] = rv[w] ^ (1 << u)
 
-        def set_in(ti: int) -> bool:
+        def set_in(t) -> bool:
             self.nodes += 1
-            u, v, w = tris[ti]
-            tstate[ti] = TS_IN
-            toggle(tris[ti])
-            for p in ((u, v), (u, w), (v, w)):
-                cnt_undec[p] -= 1
-            trail.append(("in", ti))
-            return not embeds_through(nbr, n, pattern, tris[ti])
+            toggle(t)
+            trail.append((toggle, t))
+            return not embeds_through(chosen, n, pattern, t)
 
-        def set_out(ti: int) -> bool:
+        def set_out(t) -> bool:
             self.nodes += 1
-            u, v, w = tris[ti]
-            tstate[ti] = TS_OUT
-            trail.append(("out", ti))
+            flip_open(t)
+            trail.append((flip_open, t))
+            u, v, w = t
             forced = []
-            for p in ((u, v), (u, w), (v, w)):
-                cnt_undec[p] -= 1
-                total = nbr[p[0]][p[1]].bit_count() + cnt_undec[p]
-                if total < self.k:
+            for a, b in ((u, v), (u, w), (v, w)):
+                total = opened[a][b].bit_count()
+                if total < k:
                     return False
-                if total == self.k and cnt_undec[p]:
-                    forced.extend(tj for tj in pair_tris[p] if tstate[tj] == TS_UNDEC)
-            for tj in forced:
-                if tstate[tj] == TS_UNDEC and not set_in(tj):
-                    return False
-            return True
+                if total == k:  # every undecided triangle of the pair is forced in
+                    undecided = opened[a][b] & ~chosen[a][b]
+                    forced.extend(sorted((a, b, c)) for c in mask_vertices(undecided))
+            # the three pairs share no triangle but t, so none is forced twice
+            return all(set_in(tj) for tj in forced)
 
-        def undo(mark: int):
-            while len(trail) > mark:
-                kind, ti = trail.pop()
-                u, v, w = tris[ti]
-                tstate[ti] = TS_UNDEC
-                if kind == "in":
-                    toggle(tris[ti])
-                for p in ((u, v), (u, w), (v, w)):
-                    cnt_undec[p] += 1
-
-        def dfs(from_idx: int):
-            ti = from_idx
-            while ti < len(tris) and tstate[ti] != TS_UNDEC:
-                ti += 1
-            if ti == len(tris):
-                return tuple(tris[i] for i in range(len(tris)) if tstate[i] == TS_IN)
+        def dfs(i: int):
+            # a triangle after i is decided only if it was forced in
+            while i < len(tris) and chosen[tris[i][0]][tris[i][1]] >> tris[i][2] & 1:
+                i += 1
+            if i == len(tris):
+                return state.snapshot().edges
             mark = len(trail)
-            if set_in(ti):
-                found = dfs(ti + 1)
-                if found is not None:
-                    return found
-            undo(mark)
-            if set_out(ti):
-                found = dfs(ti + 1)
-                if found is not None:
-                    return found
-            undo(mark)
+            for step in (set_in, set_out):
+                if step(tris[i]):
+                    found = dfs(i + 1)
+                    if found is not None:
+                        return found
+                while len(trail) > mark:
+                    flip, t = trail.pop()
+                    flip(t)
             return None
 
-        if not live:
-            return None
         return dfs(0)
 
 
@@ -356,8 +334,8 @@ def local_search_lower_bound(
     seen; every accepted move preserves pattern-freeness (additions are
     checked incrementally through the toggled edge).  Each proposal is
     toggled into one HostState, whose co-degree histogram gives the score
-    without a rescan, and toggled back if rejected; only the seed and the
-    returned host are built as TripleSystem.  Deterministic for a fixed
+    without a rescan, and toggled back if rejected; the masks are the only
+    copy of the current host, snapshotted as a TripleSystem at each new best.  Deterministic for a fixed
     seed: one ``randrange`` per step.  A result exceeding the known
     closed-form value would falsify it and raises InternalContradiction.
     """
@@ -370,17 +348,17 @@ def local_search_lower_bound(
     if budget < 0:
         raise PreconditionViolated(f"budget must be nonnegative, got {budget}")
     rng = random.Random(seed)
-    seed_host = _seed_construction(n, pattern)
-    state = HostState(seed_host)
+    best = _seed_construction(n, pattern)
+    state = HostState(best)
+    nbr = state.pair_masks
     cur_score = best_score = state.score()
-    edges = set(seed_host.edges)
-    best_edges = None  # None while the seed is still the best host
     all_triples = list(itertools.combinations(range(n), 3))
     for _ in range(budget):
         t = all_triples[rng.randrange(len(all_triples))]
-        adding = t not in edges
+        u, v, w = t
+        adding = not nbr[u][v] >> w & 1
         state.toggle(t)
-        if adding and embeds_through(state.pair_masks, n, pattern, t):
+        if adding and embeds_through(nbr, n, pattern, t):
             state.toggle(t)
             continue
         score = state.score()
@@ -388,13 +366,8 @@ def local_search_lower_bound(
             state.toggle(t)
             continue
         cur_score = score
-        if adding:
-            edges.add(t)
-        else:
-            edges.remove(t)
         if score > best_score:
-            best_edges, best_score = tuple(edges), score
-    best = seed_host if best_edges is None else TripleSystem(n, best_edges)
+            best, best_score = state.snapshot(), score
     if not is_free(best, pattern):
         raise InternalContradiction(
             "local search accepted a host containing the pattern",

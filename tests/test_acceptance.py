@@ -93,16 +93,16 @@ def test_criterion_3_witness_soundness_sweep():
 def test_criterion_4_structure_certificates():
     cases = [(complete_triple_system(4), None)]
     for n in (8, 12, 16):
-        host, spec = construct_complete_k_partite(n, 4)
-        cases.append((host, spec))
+        host, parts = construct_complete_k_partite(n, 4)
+        cases.append((host, parts))
     checked = 0
-    for host, spec in cases:
+    for host, parts in cases:
         cert = analyze_half_degree(host)
         assert isinstance(cert, StructureCertificate)
         assert all(not b for b in cert.b_sets)
         assert cert.q == host.n // 4 and cert.r0 == 0
-        if spec is not None:
-            assert set(cert.a_sets) == {frozenset(p) for p in spec.parts}
+        if parts is not None:
+            assert set(cert.a_sets) == {frozenset(p) for p in parts}
         for fact_id in range(1, 11):
             report = check_fact(host, cert.base, fact_id)
             assert report.holds, (host.n, fact_id, report)

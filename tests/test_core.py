@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triplesys import (
-    PartitionSpec,
     PreconditionViolated,
     TripleSystem,
     build_codegree_table,
@@ -164,6 +163,7 @@ class TestHostState:
             edges ^= {t}
             rebuilt = TripleSystem(n, edges)
             assert state.pair_masks == rebuilt.pair_masks
+            assert state.snapshot() == rebuilt
             hist = [sum(1 for u, v in pairs if rebuilt.codegree(u, v) == c) for c in range(n - 1)]
             assert state.hist == hist
             delta = min_positive_codegree(rebuilt)
@@ -183,28 +183,27 @@ class TestHostState:
 
 class TestConstruction:
     def test_three_parts_of_six(self):
-        host, spec = construct_complete_k_partite(6, 3)
-        assert spec.parts == ((0, 1), (2, 3), (4, 5))
-        assert spec.is_balanced()
+        host, parts = construct_complete_k_partite(6, 3)
+        assert parts == ((0, 1), (2, 3), (4, 5))
         assert host.edge_count == 8  # product of the part sizes
         assert min_positive_codegree(host) == 2
 
     def test_four_singleton_parts(self):
-        host, spec = construct_complete_k_partite(4, 4)
+        host, parts = construct_complete_k_partite(4, 4)
         assert host.edges == tuple(complete_triple_system(4).edges)
-        assert all(len(p) == 1 for p in spec.parts)
+        assert parts == ((0,), (1,), (2,), (3,))
 
     def test_eleven_vertices_four_parts(self):
-        host, spec = construct_complete_k_partite(11, 4)
-        assert [len(p) for p in spec.parts] == [3, 3, 3, 2]  # larger parts first
+        host, parts = construct_complete_k_partite(11, 4)
+        assert [len(p) for p in parts] == [3, 3, 3, 2]  # larger parts first
         # n = 4k+3 with k = 2: the minimum positive co-degree must be 2k+1
         assert scan_min_positive_codegree(host) == 5
         assert min_positive_codegree(host) == known_extremal_value(11, "c5")
 
     def test_edge_count_is_product_of_part_sizes(self):
         for n in range(6, 20):
-            host, spec = construct_complete_k_partite(n, 3)
-            a, b, c = (len(p) for p in spec.parts)
+            host, parts = construct_complete_k_partite(n, 3)
+            a, b, c = (len(p) for p in parts)
             assert host.edge_count == a * b * c
 
     def test_rejects_bad_ranges(self):
@@ -212,13 +211,6 @@ class TestConstruction:
             construct_complete_k_partite(2, 3)
         with pytest.raises(PreconditionViolated):
             construct_complete_k_partite(5, 2)
-
-    def test_partition_spec_validation(self):
-        with pytest.raises(ValueError):
-            PartitionSpec(((0, 1), (1, 2)))
-        with pytest.raises(ValueError):
-            PartitionSpec(((0, 1), (3,)))
-        assert not PartitionSpec(((0, 1, 2), (3,))).is_balanced()
 
 
 class TestKnownExtremalValue:

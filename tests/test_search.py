@@ -14,10 +14,13 @@ from triplesys import (
     known_extremal_value,
     local_search_lower_bound,
     min_positive_codegree,
+    naive_find_embedding,
     pattern_by_name,
 )
 from triplesys import search
 from triplesys.patterns import embeds_through
+
+from conftest import scan_min_positive_codegree
 
 
 def brute_force_copos_ex(n: int, pattern_name: str) -> int:
@@ -82,6 +85,21 @@ class TestDecision:
         assert decide_exists(6, pattern, 2, jobs=0) == decide_exists(6, pattern, 2, jobs=1)
         assert len(asked) == 2  # jobs < 2 runs in this process
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_every_top_branch_returns_none_or_a_valid_host(self, name, k):
+        # Every branch, not only the first success: exact stops at the
+        # first host in branch order, so an invalid host in a later branch
+        # would otherwise go unseen.  Checked with the independent oracles.
+        pattern = pattern_by_name(name)
+        top_pairs = search._pairs_within(5)
+        for i, mask in enumerate(search._canonical_top_masks(5)):
+            edges = search._Decision(6, pattern, k).run_branch(top_pairs, mask)
+            if edges is not None:
+                host = TripleSystem(6, edges)
+                assert naive_find_embedding(host, pattern) is None, f"branch {i}"
+                assert (scan_min_positive_codegree(host) or 0) >= k, f"branch {i}"
+
 
 class TestExactValues:
     @pytest.mark.parametrize(
@@ -112,9 +130,10 @@ class TestExactValues:
     @pytest.mark.parametrize(
         "n,pattern,nodes",
         # Recorded node counts: the decision search prunes on pattern checks
-        # through each added edge, so a wrong check changes these counts.
-        [(6, "k4minus", 228), (6, "k4", 634), (6, "c5minus", 365), (6, "c5", 477),
-         (6, "f32", 417), (7, "c5minus", 39096)],
+        # through each added edge and on per-pair triangle counts, so a wrong
+        # check or a drifting count changes these counts.
+        [(6, "k4minus", 227), (6, "k4", 581), (6, "c5minus", 354), (6, "c5", 450),
+         (6, "f32", 406), (7, "c5minus", 37412)],
     )
     def test_node_counts_are_stable(self, n, pattern, nodes):
         assert exact_copos_ex(n, pattern).nodes_explored == nodes
@@ -148,6 +167,21 @@ class TestLocalSearch:
         a = local_search_lower_bound(11, "c5minus", 120, seed=42)
         b = local_search_lower_bound(11, "c5minus", 120, seed=42)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "n,pattern,seed,budget,edges_sha",
+        # Recorded before the search read its host off the pair masks alone.
+        [(10, "c5", 4, 600, "ca4962b9d87390d3f9425acada460b51dc25d4971b33384d3eb11503efbb3f0a"),
+         (12, "c5minus", 9, 800, "0721496b12013d26202960f674d0547548d35f2e5413c0c7ca8c704755481441"),
+         (9, "k4", 2, 500, "fedf34e1fb338031a9f08aa7ab685371702b6f7788d35a89ca376a9e8a027bff")],
+    )
+    def test_edgeless_start_keeps_its_best_host(self, monkeypatch, n, pattern, seed, budget, edges_sha):
+        # From the edgeless host the first addition raises the score, so this
+        # is the run that takes the improvement branch and returns its snapshot.
+        monkeypatch.setattr(search, "_seed_construction", lambda n, pattern: TripleSystem(n))
+        host = local_search_lower_bound(n, pattern, budget, seed)
+        assert min_positive_codegree(host) == 1
+        assert _sha256(host.edges) == edges_sha
 
     def test_range_enforced(self):
         with pytest.raises(PreconditionViolated):

@@ -147,12 +147,12 @@ class TestAnalyzeHalfDegree:
 
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_balanced_4_partite(self, n):
-        host, spec = construct_complete_k_partite(n, 4)
+        host, parts = construct_complete_k_partite(n, 4)
         cert = analyze_half_degree(host)
         assert isinstance(cert, StructureCertificate)
         assert cert.q == n // 4 and cert.r0 == 0
         assert all(not b for b in cert.b_sets)
-        assert set(cert.a_sets) == {frozenset(p) for p in spec.parts}
+        assert set(cert.a_sets) == {frozenset(p) for p in parts}
         assert cert.verify()
 
     def test_below_half_rejected(self):
