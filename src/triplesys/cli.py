@@ -37,6 +37,7 @@ EXIT_PRECONDITION = 2
 EXIT_CONTRADICTION = 3
 
 PATTERN_CHOICES = ("k4minus", "k4", "c5minus", "c5", "f32")
+WITNESS_EXTRACTORS = {"c5": find_c5_witness, "c5minus": find_c5minus_witness}
 
 
 def _load(path: str) -> TripleSystem:
@@ -101,15 +102,7 @@ def cmd_free(args) -> int:
 
 def cmd_witness(args) -> int:
     host = _load(args.input)
-    if args.pattern == "c5":
-        emb = find_c5_witness(host)
-    elif args.pattern == "c5minus":
-        emb = find_c5minus_witness(host)
-    else:
-        raise _CliFailure(
-            EXIT_PRECONDITION,
-            f"witness extraction exists for c5 and c5minus only, not {args.pattern!r}",
-        )
+    emb = WITNESS_EXTRACTORS[args.pattern](host)
     sys.stdout.write(dump_json(embedding_to_json(emb)))
     return EXIT_OK
 
@@ -198,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="extract a forbidden configuration")
     p.add_argument("input", help="host file")
-    p.add_argument("--pattern", required=True, choices=("c5", "c5minus"))
+    p.add_argument("--pattern", required=True, choices=tuple(WITNESS_EXTRACTORS))
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("analyze", help="boundary analysis at co-degree n/2")
@@ -234,7 +227,8 @@ def main(argv=None) -> int:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except InternalContradiction as exc:
-        print(f"internal contradiction: {exc}", file=sys.stderr)
+        # the message alone: str(exc) would repeat the state listed below
+        print(f"internal contradiction: {exc.args[0]}", file=sys.stderr)
         for key, value in sorted(exc.state.items()):
             print(f"  {key} = {value!r}", file=sys.stderr)
         return EXIT_CONTRADICTION

@@ -41,6 +41,19 @@ def _mask_edges(nbr) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+def flip(masks, t) -> None:
+    """Toggle the triple t = (u, v, w) in the masks of its three pairs.
+
+    The one writer of a pair-mask table; a flip is its own inverse, so a
+    search undoes a move by flipping the same triple again.
+    """
+    u, v, w = t
+    ru, rv, rw = masks[u], masks[v], masks[w]
+    ru[v] = rv[u] = ru[v] ^ (1 << w)
+    ru[w] = rw[u] = ru[w] ^ (1 << v)
+    rv[w] = rw[v] = rv[w] ^ (1 << u)
+
+
 class TripleSystem:
     """An immutable n-vertex 3-uniform hypergraph.
 
@@ -62,13 +75,8 @@ class TripleSystem:
             u, v, w = t
             if u < 0 or w >= n:
                 raise ValueError(f"edge {t} has a vertex outside 0..{n - 1}")
-            # OR, not XOR: a repeated edge collapses
-            nbr[u][v] |= 1 << w
-            nbr[v][u] |= 1 << w
-            nbr[u][w] |= 1 << v
-            nbr[w][u] |= 1 << v
-            nbr[v][w] |= 1 << u
-            nbr[w][v] |= 1 << u
+            if not nbr[u][v] >> w & 1:  # a repeated edge collapses
+                flip(nbr, t)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", _mask_edges(nbr))
         object.__setattr__(self, "_nbr", nbr)
@@ -127,8 +135,9 @@ class HostState:
 
     ``pair_masks`` has the layout of ``TripleSystem.pair_masks``, so the
     pattern searches run on it directly; ``hist[c]`` is the number of
-    pairs with co-degree c.  ``toggle`` flips one triple in O(1), which
-    lets a search try a move and take it back without rebuilding a host.
+    pairs with co-degree c.  ``toggle`` moves three histogram entries and
+    flips one triple, which lets the local search try a move, read its
+    score off the histogram, and take it back without rebuilding a host.
     """
 
     __slots__ = ("pair_masks", "hist")
@@ -141,26 +150,12 @@ class HostState:
         """Add the triple if absent, remove it if present."""
         u, v, w = edge
         nbr, hist = self.pair_masks, self.hist
-        ru, rv, rw = nbr[u], nbr[v], nbr[w]
-        # One block per pair, not a loop over the three: this runs at every
-        # edge-phase node of the decision search, where a loop was measurably
-        # slower.  The co-degree of all three pairs moves by the same d.
-        m = ru[v]
-        d = -1 if m >> w & 1 else 1
-        c = m.bit_count()
-        hist[c] -= 1
-        hist[c + d] += 1
-        ru[v] = rv[u] = m ^ (1 << w)
-        m = ru[w]
-        c = m.bit_count()
-        hist[c] -= 1
-        hist[c + d] += 1
-        ru[w] = rw[u] = m ^ (1 << v)
-        m = rv[w]
-        c = m.bit_count()
-        hist[c] -= 1
-        hist[c + d] += 1
-        rv[w] = rw[v] = m ^ (1 << u)
+        d = -1 if nbr[u][v] >> w & 1 else 1  # all three co-degrees move by d
+        for a, b in ((u, v), (u, w), (v, w)):
+            c = nbr[a][b].bit_count()
+            hist[c] -= 1
+            hist[c + d] += 1
+        flip(nbr, edge)
 
     def snapshot(self) -> TripleSystem:
         """A snapshot of the masks as an immutable host."""
@@ -221,6 +216,8 @@ def construct_complete_k_partite(
         raise PreconditionViolated(f"need at least 3 parts, got k={k}")
     if n < k:
         raise PreconditionViolated(f"need n >= k, got n={n}, k={k}")
+    if n > MAX_VERTICES:
+        raise PreconditionViolated(f"need n <= {MAX_VERTICES}, got n={n}")
     big = n % k
     sizes = [n // k + 1] * big + [n // k] * (k - big)
     parts: list[tuple[int, ...]] = []

@@ -18,9 +18,11 @@ The exact value then comes from ascending k starting at the value of the
 complete balanced k-partite seed construction, so tight instances need a
 single refutation call.
 
-Both searches keep the host they are changing in one core.HostState: the
-edge phase and the local search toggle one triple at a time and run the
-through-edge pattern check on its pair masks, so no move rebuilds a host.
+Both searches change their host one triple at a time with core.flip and
+run the through-edge pattern check on the pair masks, so no move rebuilds a
+host.  The edge phase flips plain tables of open and chosen triangles; the
+local search keeps its host in one core.HostState, whose co-degree
+histogram gives the score.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from dataclasses import dataclass
 from .core import (
     HostState,
     TripleSystem,
+    _mask_edges,
     construct_complete_k_partite,
+    flip,
     known_extremal_value,
     mask_vertices,
     min_positive_codegree,
@@ -105,8 +109,9 @@ class _Decision:
 
     Skeleton phase: ``live[u]`` holds the pairs at u decided live, ``ndadj[u]``
     those not decided dead.  Edge phase: ``opened[u][v]`` holds the third
-    vertices of the live pair's triangles not set out, beside the HostState
-    masks of the chosen ones; its undecided triangles are ``opened & ~chosen``.
+    vertices of the live pair's triangles not set out, and ``chosen[u][v]``
+    those of the chosen ones; its undecided triangles are ``opened & ~chosen``.
+    Both tables change only through core.flip.
     """
 
     def __init__(self, n: int, pattern: Pattern, k: int):
@@ -114,7 +119,6 @@ class _Decision:
         self.pattern = pattern
         self.k = k
         self.nodes = 0
-        self.empty = TripleSystem(n)
 
     def run_branch(self, top_pairs, top_mask: int):
         """Explore one top-level pair-state assignment; edges of the found host or None."""
@@ -176,27 +180,19 @@ class _Decision:
             for w in mask_vertices(live[u] & live[v] >> (v + 1) << (v + 1))
         ]
         opened = [[live[u] & live[v] for v in range(n)] for u in range(n)]  # read at live pairs
-        state = HostState(self.empty)
-        chosen, toggle = state.pair_masks, state.toggle
-        trail: list[tuple] = []  # (flip, triangle): each flip is its own inverse
-
-        def flip_open(t) -> None:
-            u, v, w = t
-            ru, rv, rw = opened[u], opened[v], opened[w]
-            ru[v] = rv[u] = ru[v] ^ (1 << w)
-            ru[w] = rw[u] = ru[w] ^ (1 << v)
-            rv[w] = rw[v] = rv[w] ^ (1 << u)
+        chosen = [[0] * n for _ in range(n)]
+        trail: list[tuple] = []  # (table, triangle): each flip is its own inverse
 
         def set_in(t) -> bool:
             self.nodes += 1
-            toggle(t)
-            trail.append((toggle, t))
+            flip(chosen, t)
+            trail.append((chosen, t))
             return not embeds_through(chosen, n, pattern, t)
 
         def set_out(t) -> bool:
             self.nodes += 1
-            flip_open(t)
-            trail.append((flip_open, t))
+            flip(opened, t)
+            trail.append((opened, t))
             u, v, w = t
             forced = []
             for a, b in ((u, v), (u, w), (v, w)):
@@ -214,7 +210,7 @@ class _Decision:
             while i < len(tris) and chosen[tris[i][0]][tris[i][1]] >> tris[i][2] & 1:
                 i += 1
             if i == len(tris):
-                return state.snapshot().edges
+                return _mask_edges(chosen)
             mark = len(trail)
             for step in (set_in, set_out):
                 if step(tris[i]):
@@ -222,8 +218,7 @@ class _Decision:
                     if found is not None:
                         return found
                 while len(trail) > mark:
-                    flip, t = trail.pop()
-                    flip(t)
+                    flip(*trail.pop())
             return None
 
         return dfs(0)

@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from triplesys import construct_complete_k_partite, serialize_hypergraph, write_hypergraph
+from triplesys import (
+    InternalContradiction,
+    construct_complete_k_partite,
+    serialize_hypergraph,
+    write_hypergraph,
+)
+from triplesys import cli
 from triplesys.cli import main
 from triplesys.fileio import read_hypergraph, result_from_json
 
@@ -36,6 +42,14 @@ class TestConstruct:
     def test_unwritable_path(self, capsys):
         code, _, err = run(capsys, "construct", "--n", "6", "--k", "3", "-o", "/nonexistent/h")
         assert code == 1 and "cannot write" in err
+
+    def test_more_than_64_vertices_is_a_usage_error(self, tmp_path, capsys):
+        code, stdout, err = run(
+            capsys, "construct", "--n", "65", "--k", "3", "-o", str(tmp_path / "h65")
+        )
+        assert code == 2 and stdout == ""
+        assert err == "precondition violated: need n <= 64, got n=65\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStats:
@@ -131,6 +145,12 @@ class TestWitness:
         code, _, err = run(capsys, "witness", str(path), "--pattern", "c5minus")
         assert code == 2
 
+    def test_pattern_without_extractor_is_a_usage_error(self, complete6, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", complete6, "--pattern", "k4"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'k4'" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_structure_certificate(self, tmp_path, capsys):
@@ -181,6 +201,28 @@ class TestExact:
         monkeypatch.chdir(tmp_path)
         code, stdout, err = run(capsys, "exact", "--n", "4", "--pattern", "c5", "--jobs", jobs)
         assert code == 2 and stdout == "" and "--jobs" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_contradiction_exits_three_and_lists_the_state_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+
+        def contradict(*args, **kwargs):
+            raise InternalContradiction(
+                "decision search returned an invalid witness",
+                {"n": 6, "pattern": "c5", "k": 3},
+            )
+
+        monkeypatch.setattr(cli, "exact_copos_ex", contradict)
+        code, stdout, err = run(capsys, "exact", "--n", "6", "--pattern", "c5")
+        assert code == 3 and stdout == ""
+        assert err == (
+            "internal contradiction: decision search returned an invalid witness\n"
+            "  k = 3\n"
+            "  n = 6\n"
+            "  pattern = 'c5'\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_sidecar(self, capsys):

@@ -211,6 +211,8 @@ class TestConstruction:
             construct_complete_k_partite(2, 3)
         with pytest.raises(PreconditionViolated):
             construct_complete_k_partite(5, 2)
+        with pytest.raises(PreconditionViolated, match="n <= 64"):
+            construct_complete_k_partite(65, 3)
 
 
 class TestKnownExtremalValue:

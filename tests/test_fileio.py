@@ -134,6 +134,15 @@ class TestCertificateJson:
         with pytest.raises(ValueError):
             result_from_json(data, host)
 
+    def test_embedding_edges_must_match_its_map(self):
+        host = complete_triple_system(6)
+        data = result_to_json(find_c5_witness(host))
+        image = {tuple(e) for e in data["edges"]}
+        other = next(e for e in host.edges if e not in image)
+        data["edges"][0] = list(other)  # the map still validates; the edges do not
+        with pytest.raises(ValueError, match="do not match its map"):
+            result_from_json(data, host)
+
     def test_tampered_structure_rejected(self):
         host, _ = construct_complete_k_partite(8, 4)
         data = result_to_json(analyze_half_degree(host))

@@ -312,6 +312,13 @@ class TestCheckFact:
         report7 = check_fact(host, (0, 1, 2, 3), 7)
         assert not report7.hypothesis_met and report7.holds  # vacuous
 
+    @pytest.mark.parametrize("fact_id", range(1, 11))
+    def test_every_hypothesis_is_met_on_the_deep_host(self, fact_id):
+        # its apex B-cell {4, 5} is nonempty, so facts 5-10 have cells to scan;
+        # on the hosts above, facts 6-10 hold only vacuously
+        report = check_fact(_deep_host_8(), (0, 1, 2, 3), fact_id)
+        assert report.hypothesis_met and report.holds, report
+
     def test_names_match_catalog(self):
         host = complete_triple_system(4)
         for fact_id, name in FACT_NAMES.items():
