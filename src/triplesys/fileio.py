@@ -114,29 +114,34 @@ def result_from_json(data: dict, host: TripleSystem):
 
     Raises ValueError when the payload is malformed or fails validation.
     """
-    kind = data.get("kind")
-    if kind == "embedding":
-        emb = Embedding(pattern_by_name(data["pattern"]), host, tuple(data["map"]))
-        if not validate_embedding(emb):
-            raise ValueError("embedding certificate failed validation")
-        if sorted(tuple(e) for e in data["edges"]) != sorted(emb.image_edges()):
-            raise ValueError("embedding certificate edges do not match its map")
-        return emb
-    if kind == "structure":
-        cert = StructureCertificate(
-            host=host,
-            base=tuple(data["base"]),
-            a_sets=tuple(frozenset(s) for s in data["A"]),
-            b_sets=tuple(frozenset(s) for s in data["B"]),
-            q=data["q"],
-            r0=data["r0"],
-            classes=tuple(frozenset(c) for c in data["classes"]),
-            pairing=tuple(tuple(p) for p in data["pairing"]),
-        )
-        if not cert.verify():
-            raise ValueError("structure certificate failed validation")
-        return cert
-    raise ValueError(f"unknown certificate kind {kind!r}")
+    try:
+        kind = data.get("kind")
+        if kind == "embedding":
+            emb = Embedding(pattern_by_name(data["pattern"]), host, tuple(data["map"]))
+            if not validate_embedding(emb):
+                raise ValueError("embedding certificate failed validation")
+            if sorted(tuple(e) for e in data["edges"]) != sorted(emb.image_edges()):
+                raise ValueError("embedding certificate edges do not match its map")
+            return emb
+        if kind == "structure":
+            cert = StructureCertificate(
+                host=host,
+                base=tuple(data["base"]),
+                a_sets=tuple(frozenset(s) for s in data["A"]),
+                b_sets=tuple(frozenset(s) for s in data["B"]),
+                q=data["q"],
+                r0=data["r0"],
+                classes=tuple(frozenset(c) for c in data["classes"]),
+                pairing=tuple(tuple(p) for p in data["pairing"]),
+            )
+            if not cert.verify():
+                raise ValueError("structure certificate failed validation")
+            return cert
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    except (AttributeError, KeyError, TypeError) as exc:
+        # a payload of the wrong shape: not an object, a missing key, an
+        # unknown pattern name, or a field of the wrong type
+        raise ValueError(f"malformed certificate payload ({type(exc).__name__}: {exc})") from exc
 
 
 def dump_json(data: dict) -> str:

@@ -9,10 +9,12 @@ chosen among the skeleton's triangles with unit propagation on the per-pair
 counts and incremental pattern detection through each added edge.  The
 whole state is bitmask rows in the pair-mask layout (live and not-dead
 pairs in the skeleton, open and chosen triangles per pair in the edge
-phase), so every count is a popcount of a mask and cannot drift.  Isomorph
-rejection happens at the top of the tree: the pair states inside the first
-min(n, 5) vertices are enumerated once per orbit under that symmetric
-group, by brute-force canonical minimization.
+phase), so every count is a popcount of a mask and cannot drift.  Both
+phases are generators: one top-level branch yields every host it reaches,
+in search order, and decide_exists takes the first host in branch order.
+Isomorph rejection happens at the top of the tree: the pair states inside
+the first min(n, 5) vertices are enumerated once per orbit under that
+symmetric group, by brute-force canonical minimization.
 
 The exact value then comes from ascending k starting at the value of the
 complete balanced k-partite seed construction, so tight instances need a
@@ -30,7 +32,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-import time
 from dataclasses import dataclass
 
 from .core import (
@@ -60,7 +61,6 @@ class SearchOutcome:
     value: int
     extremal: TripleSystem
     nodes_explored: int
-    elapsed: float
 
 
 def _seed_construction(n: int, pattern: Pattern) -> TripleSystem:
@@ -105,13 +105,15 @@ def _canonical_top_masks(m: int) -> tuple[int, ...]:
 
 
 class _Decision:
-    """One decision run: does an F-free host with min positive co-degree >= k exist.
+    """The F-free hosts with min positive co-degree >= k, one top branch at a time.
 
-    Skeleton phase: ``live[u]`` holds the pairs at u decided live, ``ndadj[u]``
-    those not decided dead.  Edge phase: ``opened[u][v]`` holds the third
-    vertices of the live pair's triangles not set out, and ``chosen[u][v]``
-    those of the chosen ones; its undecided triangles are ``opened & ~chosen``.
-    Both tables change only through core.flip.
+    ``hosts`` chains the two phases, both generators; ``nodes`` counts the
+    work done up to the last host taken.  Skeleton phase: ``live[u]`` holds
+    the pairs at u decided live, ``ndadj[u]`` those not decided dead.  Edge
+    phase: ``opened[u][v]`` holds the third vertices of the live pair's
+    triangles not set out, and ``chosen[u][v]`` those of the chosen ones;
+    its undecided triangles are ``opened & ~chosen``.  Both tables change
+    only through core.flip.
     """
 
     def __init__(self, n: int, pattern: Pattern, k: int):
@@ -120,8 +122,8 @@ class _Decision:
         self.k = k
         self.nodes = 0
 
-    def run_branch(self, top_pairs, top_mask: int):
-        """Explore one top-level pair-state assignment; edges of the found host or None."""
+    def hosts(self, top_pairs, top_mask: int):
+        """Yield the edges of every host of one top-level pair-state assignment, in order."""
         n = self.n
         live = [0] * n
         ndadj = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
@@ -134,43 +136,43 @@ class _Decision:
                 ndadj[v] &= ~(1 << u)
         if not all(self._live_ok(live, ndadj, u) for u in range(n)):
             self.nodes += 1
-            return None
+            return
         top = set(top_pairs)
         rest = [p for p in _pairs_within(n) if p not in top]
-        return self._assign(live, ndadj, rest, 0)
+        for skeleton in self._skeletons(live, ndadj, rest, 0):
+            yield from self._edge_phase(skeleton)
 
     def _live_ok(self, live, ndadj, u) -> bool:
         """Every live pair at u keeps k candidate third vertices."""
         return all((ndadj[u] & ndadj[v]).bit_count() >= self.k for v in mask_vertices(live[u]))
 
-    def _assign(self, live, ndadj, rest, idx):
+    def _skeletons(self, live, ndadj, rest, idx):
+        """Yield ``live``, changed in place, at each complete skeleton with a live pair."""
         self.nodes += 1
         if idx == len(rest):
-            return self._edge_phase(live) if any(live) else None
+            if any(live):
+                yield live
+            return
         u, v = rest[idx]
         # live first: solution-bearing skeletons are dense
         if (ndadj[u] & ndadj[v]).bit_count() >= self.k:
             live[u] |= 1 << v
             live[v] |= 1 << u
-            found = self._assign(live, ndadj, rest, idx + 1)
-            if found is not None:
-                return found
+            yield from self._skeletons(live, ndadj, rest, idx + 1)
             live[u] &= ~(1 << v)
             live[v] &= ~(1 << u)
         # Killing {u, v} shrinks only the candidates of live pairs at u or v.
         ndadj[u] &= ~(1 << v)
         ndadj[v] &= ~(1 << u)
         if self._live_ok(live, ndadj, u) and self._live_ok(live, ndadj, v):
-            found = self._assign(live, ndadj, rest, idx + 1)
-            if found is not None:
-                return found
+            yield from self._skeletons(live, ndadj, rest, idx + 1)
         ndadj[u] |= 1 << v
         ndadj[v] |= 1 << u
-        return None
 
     def _edge_phase(self, live):
-        """Pick edges inside the live skeleton: every live pair needs k of its
-        triangles, dead pairs none, and no pattern copy may complete."""
+        """Yield the edges of every host inside the live skeleton: every live
+        pair gets k of its triangles, dead pairs none, and no pattern copy
+        completes."""
         n, k, pattern = self.n, self.k, self.pattern
         # triangles of the skeleton in lexicographic order
         tris = [
@@ -210,16 +212,14 @@ class _Decision:
             while i < len(tris) and chosen[tris[i][0]][tris[i][1]] >> tris[i][2] & 1:
                 i += 1
             if i == len(tris):
-                return _mask_edges(chosen)
+                yield _mask_edges(chosen)
+                return
             mark = len(trail)
             for step in (set_in, set_out):
                 if step(tris[i]):
-                    found = dfs(i + 1)
-                    if found is not None:
-                        return found
+                    yield from dfs(i + 1)
                 while len(trail) > mark:
                     flip(*trail.pop())
-            return None
 
         return dfs(0)
 
@@ -229,7 +229,7 @@ def _run_branch(args):
     n, pattern_name, k, m, top_mask = args
     pattern = pattern_by_name(pattern_name)
     dec = _Decision(n, pattern, k)
-    edges = dec.run_branch(_pairs_within(m), top_mask)
+    edges = next(dec.hosts(_pairs_within(m), top_mask), None)
     return edges, dec.nodes
 
 
@@ -277,7 +277,6 @@ def exact_copos_ex(
         raise PreconditionViolated(
             f"exact search supports {EXACT_MIN_N} <= n <= {EXACT_MAX_N}, got n={n}"
         )
-    start = time.perf_counter()
     extremal = _seed_construction(n, pattern)
     if not is_free(extremal, pattern):
         raise InternalContradiction(
@@ -312,7 +311,6 @@ def exact_copos_ex(
         value=value,
         extremal=extremal,
         nodes_explored=nodes,
-        elapsed=time.perf_counter() - start,
     )
 
 

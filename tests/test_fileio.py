@@ -154,5 +154,25 @@ class TestCertificateJson:
         with pytest.raises(ValueError):
             result_from_json({"kind": "mystery"}, complete_triple_system(4))
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kind": "embedding"},
+            {"kind": "embedding", "pattern": "nope", "map": [0, 1, 2, 3, 4], "edges": []},
+            {"kind": "embedding", "pattern": "c5", "map": ["a", 1, 2, 3, 4], "edges": []},
+            {"kind": "embedding", "pattern": "c5", "map": 5, "edges": []},
+            {"kind": "structure"},
+            {"kind": "structure", "base": [0, 1, 2, 3], "A": 5, "B": [], "q": 0, "r0": 0,
+             "classes": [], "pairing": []},
+            [],
+            None,
+        ],
+        ids=["no-pattern", "unknown-pattern", "str-in-map", "int-map", "no-base", "int-A",
+             "list", "none"],
+    )
+    def test_malformed_payload_is_a_value_error(self, data):
+        with pytest.raises(ValueError, match="malformed certificate payload"):
+            result_from_json(data, complete_triple_system(6))
+
     def test_dump_json_stable(self):
         assert dump_json({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'

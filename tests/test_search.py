@@ -88,17 +88,34 @@ class TestDecision:
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_every_top_branch_returns_none_or_a_valid_host(self, name, k):
-        # Every branch, not only the first success: exact stops at the
-        # first host in branch order, so an invalid host in a later branch
-        # would otherwise go unseen.  Checked with the independent oracles.
+        # Every host of every branch, not only the first success: exact
+        # stops at the first host in branch order, so an invalid host past
+        # it would otherwise go unseen.  Checked with the independent oracles.
         pattern = pattern_by_name(name)
         top_pairs = search._pairs_within(5)
+        seen = set()
         for i, mask in enumerate(search._canonical_top_masks(5)):
-            edges = search._Decision(6, pattern, k).run_branch(top_pairs, mask)
-            if edges is not None:
+            for edges in search._Decision(6, pattern, k).hosts(top_pairs, mask):
                 host = TripleSystem(6, edges)
                 assert naive_find_embedding(host, pattern) is None, f"branch {i}"
                 assert (scan_min_positive_codegree(host) or 0) >= k, f"branch {i}"
+                assert edges not in seen, f"branch {i} repeats a host"
+                seen.add(edges)
+        # no 6-vertex host of these patterns reaches co-degree 3
+        expected = {"c5": 434, "c5minus": 5, "f32": 119, "k4": 3452, "k4minus": 13}
+        assert len(seen) == (expected[name] if k == 2 else 0)
+
+    def test_the_first_host_is_the_one_decide_exists_returns(self):
+        pattern = pattern_by_name("c5")
+        top_pairs = search._pairs_within(5)
+        dec = search._Decision(6, pattern, 2)
+        for mask in search._canonical_top_masks(5):
+            first = next(dec.hosts(top_pairs, mask), None)
+            if first is not None:
+                break
+        host, nodes = decide_exists(6, pattern, 2)
+        assert host == TripleSystem(6, first)
+        assert nodes == dec.nodes
 
 
 class TestExactValues:
