@@ -77,7 +77,23 @@ class TripleSystem:
                 raise ValueError(f"edge {t} has a vertex outside 0..{n - 1}")
             if not nbr[u][v] >> w & 1:  # a repeated edge collapses
                 flip(nbr, t)
-        object.__setattr__(self, "n", n)
+        self._seal(nbr)
+
+    @classmethod
+    def _from_masks(cls, nbr) -> "TripleSystem":
+        """The host whose pair-mask table is nbr, built without a check.
+
+        nbr must be a table that only ``flip`` has written, with at most
+        MAX_VERTICES rows; the host takes it over, so the caller must not
+        modify it afterwards.
+        """
+        host = object.__new__(cls)
+        host._seal(nbr)
+        return host
+
+    def _seal(self, nbr) -> None:
+        """Fix n, edges and the table: the one way a table becomes a host."""
+        object.__setattr__(self, "n", len(nbr))
         object.__setattr__(self, "edges", _mask_edges(nbr))
         object.__setattr__(self, "_nbr", nbr)
 
@@ -159,7 +175,7 @@ class HostState:
 
     def snapshot(self) -> TripleSystem:
         """A snapshot of the masks as an immutable host."""
-        return TripleSystem(len(self.pair_masks), _mask_edges(self.pair_masks))
+        return TripleSystem._from_masks([row[:] for row in self.pair_masks])
 
     def score(self) -> tuple[int, int]:
         """(min positive co-degree, -number of pairs attaining it); (0, 0) if edgeless."""

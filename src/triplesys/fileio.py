@@ -5,6 +5,10 @@ followed by one edge per line as three ascending vertex indices separated
 by single spaces.  ``#`` starts a comment line; blank lines are skipped;
 duplicate edges are rejected.  Serialization is byte-stable (LF endings,
 ASCII, lexicographic edge order), so parse(serialize(H)) == H.
+
+Loading is one pass: each edge line is checked and flipped straight into
+the host's pair-mask table, which finds a repeated edge by its mask bit,
+and the finished table becomes the host without a second check.
 """
 
 from __future__ import annotations
@@ -12,11 +16,10 @@ from __future__ import annotations
 import json
 import re
 
-from .core import MAX_VERTICES, TripleSystem
+from .core import MAX_VERTICES, TripleSystem, flip
 from .patterns import Embedding, pattern_by_name, validate_embedding
 from .witness import StructureCertificate
 
-_EDGE_LINE = re.compile(r"^(\d+) (\d+) (\d+)$")
 _HEADER_LINE = re.compile(r"^n (\d+)$")
 
 
@@ -29,38 +32,38 @@ class ParseError(ValueError):
 
 
 def parse_hypergraph(text: str) -> TripleSystem:
-    n = None
-    edges: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
+    nbr = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if n is None:
+        if nbr is None:
             m = _HEADER_LINE.match(line)
             if not m:
                 raise ParseError(lineno, f"expected header 'n <count>', got {line!r}")
             n = int(m.group(1))
             if n > MAX_VERTICES:
                 raise ParseError(lineno, f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
+            nbr = [[0] * n for _ in range(n)]
             continue
-        m = _EDGE_LINE.match(line)
-        if not m:
+        fields = line.split(" ")
+        if len(fields) != 3 or not (
+            fields[0].isdecimal() and fields[1].isdecimal() and fields[2].isdecimal()
+        ):
             raise ParseError(
                 lineno, f"expected three space-separated integers, got {line!r}"
             )
-        t = tuple(int(g) for g in m.groups())
-        if not t[0] < t[1] < t[2]:
+        u, v, w = int(fields[0]), int(fields[1]), int(fields[2])
+        if not u < v < w:
             raise ParseError(lineno, f"vertices must be distinct and ascending: {line!r}")
-        if t[2] >= n:
-            raise ParseError(lineno, f"vertex {t[2]} out of range 0..{n - 1}")
-        if t in seen:
+        if w >= n:
+            raise ParseError(lineno, f"vertex {w} out of range 0..{n - 1}")
+        if nbr[u][v] >> w & 1:
             raise ParseError(lineno, f"duplicate edge {line!r}")
-        seen.add(t)
-        edges.append(t)
-    if n is None:
+        flip(nbr, (u, v, w))
+    if nbr is None:
         raise ParseError(1, "missing header 'n <count>'")
-    return TripleSystem(n, edges)
+    return TripleSystem._from_masks(nbr)
 
 
 def serialize_hypergraph(host: TripleSystem) -> str:

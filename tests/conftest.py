@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
-from triplesys import TripleSystem, complete_triple_system
-from triplesys.core import HostState
+from triplesys import ParseError, TripleSystem, complete_triple_system
+from triplesys.core import MAX_VERTICES, HostState
 
 
 def random_host(n: int, rng: random.Random, density: float = 0.5) -> TripleSystem:
@@ -46,3 +47,45 @@ def scan_min_positive_codegree(host: TripleSystem) -> int | None:
             if count and (best is None or count < best):
                 best = count
     return best
+
+
+_EDGE_LINE = re.compile(r"^(\d+) (\d+) (\d+)$")
+_HEADER_LINE = re.compile(r"^n (\d+)$")
+
+
+def reference_parse_hypergraph(text: str) -> TripleSystem:
+    """The host-file parser as it was before loading built the pair masks:
+    a regex per line, a set of the edges seen, and a host built from the
+    edge list.  Frozen here as the oracle for ``fileio.parse_hypergraph``."""
+    n = None
+    edges: list[tuple[int, int, int]] = []
+    seen: set[tuple[int, int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if n is None:
+            m = _HEADER_LINE.match(line)
+            if not m:
+                raise ParseError(lineno, f"expected header 'n <count>', got {line!r}")
+            n = int(m.group(1))
+            if n > MAX_VERTICES:
+                raise ParseError(lineno, f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
+            continue
+        m = _EDGE_LINE.match(line)
+        if not m:
+            raise ParseError(
+                lineno, f"expected three space-separated integers, got {line!r}"
+            )
+        t = tuple(int(g) for g in m.groups())
+        if not t[0] < t[1] < t[2]:
+            raise ParseError(lineno, f"vertices must be distinct and ascending: {line!r}")
+        if t[2] >= n:
+            raise ParseError(lineno, f"vertex {t[2]} out of range 0..{n - 1}")
+        if t in seen:
+            raise ParseError(lineno, f"duplicate edge {line!r}")
+        seen.add(t)
+        edges.append(t)
+    if n is None:
+        raise ParseError(1, "missing header 'n <count>'")
+    return TripleSystem(n, edges)

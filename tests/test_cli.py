@@ -83,8 +83,28 @@ class TestStats:
     def test_duplicate_edge_line_fails_with_line_number(self, tmp_path, capsys):
         path = tmp_path / "dup.txt"
         path.write_text("n 4\n0 1 2\n0 1 2\n")
-        code, _, err = run(capsys, "stats", str(path))
-        assert code == 1 and "line 3" in err
+        code, stdout, err = run(capsys, "stats", str(path))
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {path}: line 3: duplicate edge '0 1 2'\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "line 1: missing header 'n <count>'"),
+            ("0 1 2\n", "line 1: expected header 'n <count>', got '0 1 2'"),
+            ("n 70\n", "line 1: vertex count 70 exceeds the cap of 64"),
+            ("n 4\n0 1 x\n", "line 2: expected three space-separated integers, got '0 1 x'"),
+            ("n 4\n2 1 0\n", "line 2: vertices must be distinct and ascending: '2 1 0'"),
+            ("n 4\n0 1 9\n", "line 2: vertex 9 out of range 0..3"),
+        ],
+    )
+    def test_malformed_file_names_its_line(self, tmp_path, capsys, text, message):
+        # every other kind of parse error; the duplicate edge is the test above
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, stdout, err = run(capsys, "stats", str(path))
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {path}: {message}\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "stats", "/nonexistent/h.txt")

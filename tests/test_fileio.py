@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from triplesys import (
     ParseError,
@@ -15,7 +15,52 @@ from triplesys import (
 )
 from triplesys.fileio import dump_json, result_from_json, result_to_json
 
-from conftest import random_host
+from conftest import random_host, reference_parse_hypergraph
+
+# Host-file texts for the oracle test, built from tokens at the edges of the
+# grammar: decimal digits with leading zeros, and "\u0663" (ARABIC-INDIC
+# THREE), which the grammar accepts; signs, underscores, "\u00b2"
+# (SUPERSCRIPT TWO) and letters, which it rejects; tabs, double spaces and
+# padded lines; and the line ends \r\n, \r, \x0c and \x1c, which
+# str.splitlines splits on as it does on \n.
+_VERTEX = st.one_of(
+    st.integers(0, 6).map(str),
+    st.sampled_from(["00", "03", "007", "+1", "-1", "1_0", "\u0663", "\u00b2", "x", ""]),
+)
+_SEP = st.sampled_from([" ", " ", " ", "  ", "\t"])
+_PAD = st.sampled_from(["", "", " ", "\t", "  "])
+_EDGE = st.lists(st.integers(0, 6), min_size=3, max_size=3, unique=True).map(
+    lambda t: " ".join(map(str, sorted(t)))
+)
+_ANY_TRIPLE = st.lists(st.integers(0, 8), min_size=3, max_size=3).map(
+    lambda t: " ".join(map(str, t))
+)
+_MESSY_EDGE = st.lists(st.tuples(_VERTEX, _SEP), min_size=1, max_size=4).map(
+    lambda fields: "".join(v + sep for v, sep in fields[:-1]) + fields[-1][0]
+)
+_LINE = st.tuples(
+    _PAD,
+    st.one_of(
+        _EDGE,
+        _ANY_TRIPLE,
+        _MESSY_EDGE,
+        st.sampled_from(["#", "# note", "#0 1 2", "", "n 4", "n 6", "n 05", "n 0", "n 70", "n  4"]),
+    ),
+    _PAD,
+).map("".join)
+_HOST_TEXTS = st.tuples(
+    st.sampled_from(["n 4", "n 6", "n 7", "n 7", "n 05", "n 0", "n 70", "# only", ""]),
+    st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", "\x1c"])), max_size=8),
+).map(lambda parts: parts[0] + "\n" + "".join(line + end for line, end in parts[1]))
+
+
+def _parse_outcome(parse, text):
+    """A parse's result in comparable form: the host's fields, or the error's."""
+    try:
+        host = parse(text)
+    except ParseError as err:
+        return ("error", err.line, str(err))
+    return ("host", host.n, host.edges, host.pair_masks)
 
 
 class TestHostFormat:
@@ -45,26 +90,49 @@ class TestHostFormat:
         host = TripleSystem(4, [(1, 2, 3), (0, 1, 2)])
         assert serialize_hypergraph(host) == "n 4\n0 1 2\n1 2 3\n"
 
+    _PARSE_ERRORS = [
+        ("0 1 2\n", 1, "line 1: expected header 'n <count>', got '0 1 2'"),
+        ("n 4\n0 1\n", 2, "line 2: expected three space-separated integers, got '0 1'"),
+        ("n 4\n2 1 0\n", 2, "line 2: vertices must be distinct and ascending: '2 1 0'"),
+        ("n 4\n0 1 2\n0 1 2\n", 3, "line 3: duplicate edge '0 1 2'"),
+        ("n 4\n0 1 9\n", 2, "line 2: vertex 9 out of range 0..3"),
+        ("n 70\n", 1, "line 1: vertex count 70 exceeds the cap of 64"),
+        ("n 4\n0  1 2\n", 2, "line 2: expected three space-separated integers, got '0  1 2'"),
+        ("n 4\n0 1 2 3\n", 2, "line 2: expected three space-separated integers, got '0 1 2 3'"),
+        ("n 4\n0 1 x\n", 2, "line 2: expected three space-separated integers, got '0 1 x'"),
+        ("n 4\n0 1 +2\n", 2, "line 2: expected three space-separated integers, got '0 1 +2'"),
+        ("n 4\n0 1 \u00b2\n", 2, "line 2: expected three space-separated integers, got '0 1 \u00b2'"),
+    ]
+
     @pytest.mark.parametrize(
-        "text,line",
-        [
-            ("0 1 2\n", 1),  # missing header
-            ("n 4\n0 1\n", 2),
-            ("n 4\n2 1 0\n", 2),  # not ascending
-            ("n 4\n0 1 2\n0 1 2\n", 3),  # duplicate names its line
-            ("n 4\n0 1 9\n", 2),  # out of range
-            ("n 70\n", 1),  # above the vertex cap
-            ("n 4\n0  1 2\n", 2),  # double space
-        ],
+        "text,line,message",
+        _PARSE_ERRORS,
+        ids=[f"{text}-{line}" for text, line, _ in _PARSE_ERRORS],  # name a case by text and line
     )
-    def test_parse_errors_carry_line_numbers(self, text, line):
+    def test_parse_errors_carry_line_numbers(self, text, line, message):
         with pytest.raises(ParseError) as err:
             parse_hypergraph(text)
         assert err.value.line == line
+        assert str(err.value) == message
 
     def test_empty_input(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_hypergraph("")
+        assert (err.value.line, str(err.value)) == (1, "line 1: missing header 'n <count>'")
+
+    @settings(max_examples=400, deadline=None)
+    @given(_HOST_TEXTS)
+    @example("n 05\n0 1 2\n0 2 4\n")
+    @example("n 0\n")
+    @example("n 70\n0 1 2\n")
+    @example("# a comment\n  # an indented one\n")
+    @example("n 4\r\n 0 1 2\t\r1 2 3\x0c0 2 3\x1c")
+    @example("n 4\n0 1 \u0663\n")
+    @example("n 4\n0 1 \u00b2\n")
+    def test_parser_matches_the_reference(self, text):
+        assert _parse_outcome(parse_hypergraph, text) == _parse_outcome(
+            reference_parse_hypergraph, text
+        )
 
 
 class TestCertificateJson:
