@@ -10,15 +10,29 @@ counts and incremental pattern detection through each added edge.  The
 whole state is bitmask rows in the pair-mask layout (live and not-dead
 pairs in the skeleton, open and chosen triangles per pair in the edge
 phase), so every count is a popcount of a mask and cannot drift.  Both
-phases are generators: one top-level branch yields every host it reaches,
+phases are generators: one top-level branch yields the hosts it reaches,
 in search order, and decide_exists takes the first host in branch order.
 Isomorph rejection happens at the top of the tree: the pair states inside
 the first min(n, 5) vertices are enumerated once per orbit under that
 symmetric group, by brute-force canonical minimization.
 
+Inside a branch, lex-leader pruning (Crawford, Ginsberg, Luks and Roy, KR
+1996) breaks the symmetry the top assignment leaves.  Read a skeleton as
+the bit string of the pairs after the top ones, in lexicographic order,
+live as 1.  For each adjacent transposition of vertices that fixes the
+top assignment, the skeleton phase prunes a partial skeleton once the
+swap maps every completion to a lex-greater skeleton.  The depth-first
+search, live first, visits skeletons in decreasing lex order, so the
+first skeleton with a host is the greatest in its orbit and is never
+pruned: each branch's first host, and with it every decide_exists result,
+is the one the unpruned search finds.  A branch yields the hosts of
+lex-leader skeletons only, which is every host up to the relabellings
+that fix its top assignment.
+
 The exact value then comes from ascending k starting at the value of the
 complete balanced k-partite seed construction, so tight instances need a
-single refutation call.
+single refutation call.  All decision calls of one exact run share one
+process pool.
 
 Both searches change their host one triple at a time with core.flip and
 run the through-edge pattern check on the pair masks, so no move rebuilds a
@@ -29,6 +43,7 @@ histogram gives the score.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import random
@@ -109,11 +124,12 @@ class _Decision:
 
     ``hosts`` chains the two phases, both generators; ``nodes`` counts the
     work done up to the last host taken.  Skeleton phase: ``live[u]`` holds
-    the pairs at u decided live, ``ndadj[u]`` those not decided dead.  Edge
-    phase: ``opened[u][v]`` holds the third vertices of the live pair's
-    triangles not set out, and ``chosen[u][v]`` those of the chosen ones;
-    its undecided triangles are ``opened & ~chosen``.  Both tables change
-    only through core.flip.
+    the pairs at u decided live, ``ndadj[u]`` those not decided dead, and
+    ``swaps`` the adjacent transpositions that fix the top assignment, under
+    which only lex-leader skeletons are kept.  Edge phase: ``opened[u][v]``
+    holds the third vertices of the live pair's triangles not set out, and
+    ``chosen[u][v]`` those of the chosen ones; its undecided triangles are
+    ``opened & ~chosen``.  Both tables change only through core.flip.
     """
 
     def __init__(self, n: int, pattern: Pattern, k: int):
@@ -123,7 +139,9 @@ class _Decision:
         self.nodes = 0
 
     def hosts(self, top_pairs, top_mask: int):
-        """Yield the edges of every host of one top-level pair-state assignment, in order."""
+        """Yield the edges of the hosts of one top-level pair-state assignment,
+        in order: every host of every lex-leader skeleton, so every host up
+        to the relabellings that fix the top assignment, first host included."""
         n = self.n
         live = [0] * n
         ndadj = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
@@ -139,12 +157,34 @@ class _Decision:
             return
         top = set(top_pairs)
         rest = [p for p in _pairs_within(n) if p not in top]
+        # the adjacent transpositions that fix the top assignment: rows a
+        # and a + 1 agree in both tables off the pair {a, a + 1}
+        self.swaps = [
+            (a, a + 1)
+            for a in range(n - 1)
+            if not (live[a] ^ live[a + 1] | ndadj[a] ^ ndadj[a + 1]) & ~(3 << a)
+        ]
         for skeleton in self._skeletons(live, ndadj, rest, 0):
             yield from self._edge_phase(skeleton)
 
     def _live_ok(self, live, ndadj, u) -> bool:
         """Every live pair at u keeps k candidate third vertices."""
         return all((ndadj[u] & ndadj[v]).bit_count() >= self.k for v in mask_vertices(live[u]))
+
+    def _lex_ok(self, live, ndadj, u, v) -> bool:
+        """False when a swap (a, b) touching u or v maps every completion to a
+        lex-greater skeleton: at the first bit, a and b aside, where rows a
+        and b differ, b is live and a dead, with no undecided bit below it."""
+        for a, b in self.swaps:
+            if a != u and a != v and b != u and b != v:
+                continue
+            keep = ~(1 << a | 1 << b)
+            undecided = (ndadj[a] & ~live[a] | ndadj[b] & ~live[b]) & keep
+            differ = (live[a] ^ live[b]) & keep & ~undecided
+            first = differ & -differ
+            if first & live[b] and not undecided & (first - 1):
+                return False
+        return True
 
     def _skeletons(self, live, ndadj, rest, idx):
         """Yield ``live``, changed in place, at each complete skeleton with a live pair."""
@@ -158,13 +198,18 @@ class _Decision:
         if (ndadj[u] & ndadj[v]).bit_count() >= self.k:
             live[u] |= 1 << v
             live[v] |= 1 << u
-            yield from self._skeletons(live, ndadj, rest, idx + 1)
+            if self._lex_ok(live, ndadj, u, v):
+                yield from self._skeletons(live, ndadj, rest, idx + 1)
             live[u] &= ~(1 << v)
             live[v] &= ~(1 << u)
         # Killing {u, v} shrinks only the candidates of live pairs at u or v.
         ndadj[u] &= ~(1 << v)
         ndadj[v] &= ~(1 << u)
-        if self._live_ok(live, ndadj, u) and self._live_ok(live, ndadj, v):
+        if (
+            self._live_ok(live, ndadj, u)
+            and self._live_ok(live, ndadj, v)
+            and self._lex_ok(live, ndadj, u, v)
+        ):
             yield from self._skeletons(live, ndadj, rest, idx + 1)
         ndadj[u] |= 1 << v
         ndadj[v] |= 1 << u
@@ -240,16 +285,29 @@ def decide_exists(n: int, pattern: Pattern, k: int, jobs: int = 1):
     combined in their canonical order and counted up to the first success,
     exactly as a sequential run would.
     """
-    m = min(n, 5)
-    branch_args = [(n, pattern.name, k, m, mask) for mask in _canonical_top_masks(m)]
-    workers = min(jobs, len(branch_args))  # never more workers than branches
+    with _branch_pool(n, jobs) as pool:
+        return _decide(n, pattern, k, pool)
+
+
+def _branch_pool(n: int, jobs: int):
+    """A process pool for the top branches at n, or a null context giving
+    None when at most one worker would run."""
+    # never more workers than branches
+    workers = min(jobs, len(_canonical_top_masks(min(n, 5))))
     if workers <= 1:
-        return _first_success(n, map(_run_branch, branch_args))
+        return contextlib.nullcontext()
     # Lazy: loading the pool machinery costs more than importing the package.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _first_success(n, pool.map(_run_branch, branch_args))
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def _decide(n: int, pattern: Pattern, k: int, pool):
+    """decide_exists on the branch pool ``pool``, or in this process if None."""
+    m = min(n, 5)
+    branch_args = [(n, pattern.name, k, m, mask) for mask in _canonical_top_masks(m)]
+    results = map if pool is None else pool.map
+    return _first_success(n, results(_run_branch, branch_args))
 
 
 def _first_success(n: int, results):
@@ -287,24 +345,27 @@ def exact_copos_ex(
     assert value is not None
     nodes = 0
     k = value + 1
-    while k <= n - 2:
-        if on_progress is not None:
-            on_progress(f"deciding co-degree >= {k} for {pattern.name}-free hosts on {n} vertices")
-        host, branch_nodes = decide_exists(n, pattern, k, jobs=jobs)
-        nodes += branch_nodes
-        if on_progress is not None:
-            on_progress(
-                f"co-degree >= {k}: {'satisfiable' if host is not None else 'exhausted, none'}"
-            )
-        if host is None:
-            break
-        if not is_free(host, pattern) or (min_positive_codegree(host) or 0) < k:
-            raise InternalContradiction(
-                "decision search returned an invalid witness",
-                {"n": n, "pattern": pattern.name, "k": k},
-            )
-        value, extremal = k, host
-        k += 1
+    with _branch_pool(n, jobs) as pool:
+        while k <= n - 2:
+            if on_progress is not None:
+                on_progress(
+                    f"deciding co-degree >= {k} for {pattern.name}-free hosts on {n} vertices"
+                )
+            host, branch_nodes = _decide(n, pattern, k, pool)
+            nodes += branch_nodes
+            if on_progress is not None:
+                on_progress(
+                    f"co-degree >= {k}: {'satisfiable' if host is not None else 'exhausted, none'}"
+                )
+            if host is None:
+                break
+            if not is_free(host, pattern) or (min_positive_codegree(host) or 0) < k:
+                raise InternalContradiction(
+                    "decision search returned an invalid witness",
+                    {"n": n, "pattern": pattern.name, "k": k},
+                )
+            value, extremal = k, host
+            k += 1
     return SearchOutcome(
         n=n,
         pattern=pattern.name,

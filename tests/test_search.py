@@ -84,6 +84,9 @@ class TestDecision:
         assert asked == [len(search._canonical_top_masks(5)), len(search._canonical_top_masks(4))]
         assert decide_exists(6, pattern, 2, jobs=0) == decide_exists(6, pattern, 2, jobs=1)
         assert len(asked) == 2  # jobs < 2 runs in this process
+        # one pool serves every decision call of an exact run
+        assert exact_copos_ex(7, "k4", jobs=2) == exact_copos_ex(7, "k4", jobs=1)
+        assert asked[2:] == [2]
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -102,8 +105,45 @@ class TestDecision:
                 assert edges not in seen, f"branch {i} repeats a host"
                 seen.add(edges)
         # no 6-vertex host of these patterns reaches co-degree 3
-        expected = {"c5": 434, "c5minus": 5, "f32": 119, "k4": 3452, "k4minus": 13}
+        expected = {"c5": 170, "c5minus": 5, "f32": 63, "k4": 3015, "k4minus": 13}
         assert len(seen) == (expected[name] if k == 2 else 0)
+
+    @pytest.mark.parametrize("n,ks", [(6, (2, 3, 4)), (7, (3,))])
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_lex_pruning_keeps_each_top_branch_first_host(self, monkeypatch, name, n, ks):
+        # The unpruned search is the reference: its first host in a branch
+        # sits on the lex-greatest host-bearing skeleton of its orbit, which
+        # the pruning must keep.
+        pattern = pattern_by_name(name)
+        for k in ks:
+            pruned = _first_hosts(n, pattern, k)
+            with monkeypatch.context() as m:
+                m.setattr(search._Decision, "_lex_ok", lambda self, *args: True)
+                reference = _first_hosts(n, pattern, k)
+            assert pruned == reference, f"k={k}"
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_lex_pruning_keeps_a_host_of_every_orbit(self, monkeypatch, name):
+        # Within a branch the pruned hosts are reference hosts, and each
+        # reference host maps onto a pruned one by a relabelling that fixes
+        # the branch's top assignment.
+        pattern = pattern_by_name(name)
+        top_pairs = search._pairs_within(5)
+        for mask in search._canonical_top_masks(5):
+            pruned = set(search._Decision(6, pattern, 2).hosts(top_pairs, mask))
+            with monkeypatch.context() as m:
+                m.setattr(search._Decision, "_lex_ok", lambda self, *args: True)
+                reference = list(search._Decision(6, pattern, 2).hosts(top_pairs, mask))
+            assert pruned <= set(reference)
+            live = {p for i, p in enumerate(top_pairs) if mask >> i & 1}
+            stabilizer = [
+                perm + (5,)
+                for perm in itertools.permutations(range(5))
+                if {tuple(sorted((perm[u], perm[v]))) for u, v in live} == live
+            ]
+            for edges in reference:
+                host = TripleSystem(6, edges)
+                assert any(host.relabel(g).edges in pruned for g in stabilizer), f"mask {mask}"
 
     def test_the_first_host_is_the_one_decide_exists_returns(self):
         pattern = pattern_by_name("c5")
@@ -116,6 +156,16 @@ class TestDecision:
         host, nodes = decide_exists(6, pattern, 2)
         assert host == TripleSystem(6, first)
         assert nodes == dec.nodes
+
+
+def _first_hosts(n, pattern, k):
+    """The first host of every top branch at n, or None, in branch order."""
+    m = min(n, 5)
+    top_pairs = search._pairs_within(m)
+    return [
+        next(search._Decision(n, pattern, k).hosts(top_pairs, mask), None)
+        for mask in search._canonical_top_masks(m)
+    ]
 
 
 class TestExactValues:
@@ -149,8 +199,10 @@ class TestExactValues:
         # Recorded node counts: the decision search prunes on pattern checks
         # through each added edge and on per-pair triangle counts, so a wrong
         # check or a drifting count changes these counts.
-        [(6, "k4minus", 227), (6, "k4", 581), (6, "c5minus", 354), (6, "c5", 450),
-         (6, "f32", 406), (7, "c5minus", 37412)],
+        # Re-recorded when lex-leader pruning came in: it drops only
+        # skeletons that a top-fixing swap maps to a lex-greater one.
+        [(6, "k4minus", 157), (6, "k4", 398), (6, "c5minus", 227), (6, "c5", 288),
+         (6, "f32", 263), (7, "c5minus", 17720), (7, "k4minus", 2894), (7, "k4", 1349)],
     )
     def test_node_counts_are_stable(self, n, pattern, nodes):
         assert exact_copos_ex(n, pattern).nodes_explored == nodes
