@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("exact", help="exact extremal value by exhaustive search")
-    p.add_argument("--n", type=int, required=True, help="vertex count (4..7)")
+    p.add_argument("--n", type=int, required=True, help="vertex count (4..8)")
     p.add_argument("--pattern", required=True, choices=PATTERN_CHOICES)
     p.add_argument("--jobs", type=int, default=1, help="parallel branch workers")
     p.add_argument("--extremal-out", help="sidecar file for the extremal host")

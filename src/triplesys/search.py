@@ -17,17 +17,20 @@ the first min(n, 5) vertices are enumerated once per orbit under that
 symmetric group, by brute-force canonical minimization.
 
 Inside a branch, lex-leader pruning (Crawford, Ginsberg, Luks and Roy, KR
-1996) breaks the symmetry the top assignment leaves.  Read a skeleton as
-the bit string of the pairs after the top ones, in lexicographic order,
-live as 1.  For each adjacent transposition of vertices that fixes the
-top assignment, the skeleton phase prunes a partial skeleton once the
-swap maps every completion to a lex-greater skeleton.  The depth-first
-search, live first, visits skeletons in decreasing lex order, so the
-first skeleton with a host is the greatest in its orbit and is never
-pruned: each branch's first host, and with it every decide_exists result,
-is the one the unpruned search finds.  A branch yields the hosts of
-lex-leader skeletons only, which is every host up to the relabellings
-that fix its top assignment.
+1996; Codish, Miller, Prosser and Stuckey, IJCAI 2013) breaks the symmetry
+the top assignment leaves, with one check for both phases.  Each phase
+reads its partial assignment as a bit string of set, clear and undecided
+positions in lexicographic order: the pairs after the top ones, live as
+set, and then the skeleton's triangles, chosen as set.  The check prunes
+once a vertex transposition maps every completion to a lex-greater string:
+in the skeleton phase the adjacent ones that fix the top assignment, in the
+edge phase every one that fixes both the top assignment and the skeleton.
+Both phases decide set first (and a forced triangle is chosen), so their
+leaves come in decreasing lex order, and the first skeleton with a host
+and its first host are the greatest of their orbits and never pruned.
+Each branch's first host, and with it every decide_exists result, is the
+one the unpruned search finds, and a branch yields every host up to the
+relabellings that fix its top assignment.
 
 The exact value then comes from ascending k starting at the value of the
 complete balanced k-partite seed construction, so tight instances need a
@@ -63,7 +66,7 @@ from .core import (
 from .errors import InternalContradiction, PreconditionViolated
 from .patterns import Pattern, embeds_through, is_free, pattern_by_name
 
-EXACT_MAX_N = 7
+EXACT_MAX_N = 8
 EXACT_MIN_N = 4
 
 
@@ -119,17 +122,27 @@ def _canonical_top_masks(m: int) -> tuple[int, ...]:
     return tuple(reps)
 
 
+def _moved_pairs(positions, index, a: int, b: int) -> list[tuple[int, int]]:
+    """The position pairs (i, j), i < j, in order, that the transposition
+    (a, b), a < b, swaps: ``positions`` are sorted vertex tuples in lex order
+    that it maps onto themselves, and ``index`` gives their positions."""
+    return [
+        (i, index[tuple(sorted(b if x == a else x for x in p))])
+        for i, p in enumerate(positions)
+        if a in p and b not in p
+    ]
+
+
 class _Decision:
     """The F-free hosts with min positive co-degree >= k, one top branch at a time.
 
     ``hosts`` chains the two phases, both generators; ``nodes`` counts the
     work done up to the last host taken.  Skeleton phase: ``live[u]`` holds
-    the pairs at u decided live, ``ndadj[u]`` those not decided dead, and
-    ``swaps`` the adjacent transpositions that fix the top assignment, under
-    which only lex-leader skeletons are kept.  Edge phase: ``opened[u][v]``
-    holds the third vertices of the live pair's triangles not set out, and
-    ``chosen[u][v]`` those of the chosen ones; its undecided triangles are
-    ``opened & ~chosen``.  Both tables change only through core.flip.
+    the pairs at u decided live and ``ndadj[u]`` those not decided dead.
+    Edge phase: ``opened[u][v]`` holds the third vertices of the live pair's
+    triangles not set out, and ``chosen[u][v]`` those of the chosen ones;
+    its undecided triangles are ``opened & ~chosen``.  Both tables change
+    only through core.flip.  Each phase also keeps its ``_lex_ok`` string.
     """
 
     def __init__(self, n: int, pattern: Pattern, k: int):
@@ -140,8 +153,9 @@ class _Decision:
 
     def hosts(self, top_pairs, top_mask: int):
         """Yield the edges of the hosts of one top-level pair-state assignment,
-        in order: every host of every lex-leader skeleton, so every host up
-        to the relabellings that fix the top assignment, first host included."""
+        in order.  Up to a relabelling that fixes the top assignment, every
+        host of the branch is yielded, and the first host is the one the
+        search without lex-leader pruning finds."""
         n = self.n
         live = [0] * n
         ndadj = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
@@ -157,49 +171,56 @@ class _Decision:
             return
         top = set(top_pairs)
         rest = [p for p in _pairs_within(n) if p not in top]
-        # the adjacent transpositions that fix the top assignment: rows a
-        # and a + 1 agree in both tables off the pair {a, a + 1}
-        self.swaps = [
-            (a, a + 1)
-            for a in range(n - 1)
-            if not (live[a] ^ live[a + 1] | ndadj[a] ^ ndadj[a + 1]) & ~(3 << a)
+        index = {p: i for i, p in enumerate(rest)}
+        # the transpositions that fix the top assignment: rows a and b
+        # agree in both tables off the pair {a, b}
+        self.top_fixing = [
+            (a, b)
+            for a, b in _pairs_within(n)
+            if not (live[a] ^ live[b] | ndadj[a] ^ ndadj[b]) & ~(1 << a | 1 << b)
         ]
-        for skeleton in self._skeletons(live, ndadj, rest, 0):
+        self.rest_swaps = [
+            _moved_pairs(rest, index, a, b) for a, b in self.top_fixing if b == a + 1
+        ]
+        for skeleton in self._skeletons(live, ndadj, rest, 0, 0):
             yield from self._edge_phase(skeleton)
 
     def _live_ok(self, live, ndadj, u) -> bool:
         """Every live pair at u keeps k candidate third vertices."""
         return all((ndadj[u] & ndadj[v]).bit_count() >= self.k for v in mask_vertices(live[u]))
 
-    def _lex_ok(self, live, ndadj, u, v) -> bool:
-        """False when a swap (a, b) touching u or v maps every completion to a
-        lex-greater skeleton: at the first bit, a and b aside, where rows a
-        and b differ, b is live and a dead, with no undecided bit below it."""
-        for a, b in self.swaps:
-            if a != u and a != v and b != u and b != v:
-                continue
-            keep = ~(1 << a | 1 << b)
-            undecided = (ndadj[a] & ~live[a] | ndadj[b] & ~live[b]) & keep
-            differ = (live[a] ^ live[b]) & keep & ~undecided
-            first = differ & -differ
-            if first & live[b] and not undecided & (first - 1):
-                return False
+    def _lex_ok(self, swaps, ones, decided) -> bool:
+        """False when a swap maps every completion of the bit string to a
+        lex-greater one.  Bit i of ``decided`` marks position i decided and
+        bit i of ``ones`` marks it set; a swap is its moved position pairs
+        (i, j), i < j, in order of i.  It prunes when, at its first pair not
+        decided and equal, i is decided clear and j decided set."""
+        for moved in swaps:
+            for i, j in moved:
+                if not decided >> i & decided >> j & 1:
+                    break
+                if ones >> i & 1 != ones >> j & 1:
+                    if ones >> j & 1:
+                        return False
+                    break
         return True
 
-    def _skeletons(self, live, ndadj, rest, idx):
-        """Yield ``live``, changed in place, at each complete skeleton with a live pair."""
+    def _skeletons(self, live, ndadj, rest, idx, ones):
+        """Yield ``live``, changed in place, at each complete skeleton with a
+        live pair; ``ones`` marks the live ones of the first idx pairs of rest."""
         self.nodes += 1
         if idx == len(rest):
             if any(live):
                 yield live
             return
         u, v = rest[idx]
+        decided = (2 << idx) - 1
         # live first: solution-bearing skeletons are dense
         if (ndadj[u] & ndadj[v]).bit_count() >= self.k:
             live[u] |= 1 << v
             live[v] |= 1 << u
-            if self._lex_ok(live, ndadj, u, v):
-                yield from self._skeletons(live, ndadj, rest, idx + 1)
+            if self._lex_ok(self.rest_swaps, ones | 1 << idx, decided):
+                yield from self._skeletons(live, ndadj, rest, idx + 1, ones | 1 << idx)
             live[u] &= ~(1 << v)
             live[v] &= ~(1 << u)
         # Killing {u, v} shrinks only the candidates of live pairs at u or v.
@@ -208,16 +229,17 @@ class _Decision:
         if (
             self._live_ok(live, ndadj, u)
             and self._live_ok(live, ndadj, v)
-            and self._lex_ok(live, ndadj, u, v)
+            and self._lex_ok(self.rest_swaps, ones, decided)
         ):
-            yield from self._skeletons(live, ndadj, rest, idx + 1)
+            yield from self._skeletons(live, ndadj, rest, idx + 1, ones)
         ndadj[u] |= 1 << v
         ndadj[v] |= 1 << u
 
     def _edge_phase(self, live):
-        """Yield the edges of every host inside the live skeleton: every live
-        pair gets k of its triangles, dead pairs none, and no pattern copy
-        completes."""
+        """Yield the edges of every host inside the live skeleton whose
+        triangle bit string no transposition fixing the skeleton and the
+        top assignment maps to a lex-greater one: every live pair gets k of
+        its triangles, dead pairs none, and no pattern copy completes."""
         n, k, pattern = self.n, self.k, self.pattern
         # triangles of the skeleton in lexicographic order
         tris = [
@@ -226,20 +248,32 @@ class _Decision:
             for v in mask_vertices(live[u] >> (u + 1) << (u + 1))
             for w in mask_vertices(live[u] & live[v] >> (v + 1) << (v + 1))
         ]
+        position = {t: i for i, t in enumerate(tris)}
+        swaps = [
+            _moved_pairs(tris, position, a, b)
+            for a, b in self.top_fixing
+            if not (live[a] ^ live[b]) & ~(1 << a | 1 << b)
+        ]
         opened = [[live[u] & live[v] for v in range(n)] for u in range(n)]  # read at live pairs
         chosen = [[0] * n for _ in range(n)]
         trail: list[tuple] = []  # (table, triangle): each flip is its own inverse
+        ones = decided = 0  # the chosen and the decided positions of tris
 
         def set_in(t) -> bool:
+            nonlocal ones, decided
             self.nodes += 1
             flip(chosen, t)
             trail.append((chosen, t))
+            ones |= 1 << position[t]
+            decided |= 1 << position[t]
             return not embeds_through(chosen, n, pattern, t)
 
         def set_out(t) -> bool:
+            nonlocal decided
             self.nodes += 1
             flip(opened, t)
             trail.append((opened, t))
+            decided |= 1 << position[t]
             u, v, w = t
             forced = []
             for a, b in ((u, v), (u, w), (v, w)):
@@ -248,23 +282,25 @@ class _Decision:
                     return False
                 if total == k:  # every undecided triangle of the pair is forced in
                     undecided = opened[a][b] & ~chosen[a][b]
-                    forced.extend(sorted((a, b, c)) for c in mask_vertices(undecided))
+                    forced.extend(tuple(sorted((a, b, c))) for c in mask_vertices(undecided))
             # the three pairs share no triangle but t, so none is forced twice
             return all(set_in(tj) for tj in forced)
 
         def dfs(i: int):
+            nonlocal ones, decided
             # a triangle after i is decided only if it was forced in
             while i < len(tris) and chosen[tris[i][0]][tris[i][1]] >> tris[i][2] & 1:
                 i += 1
             if i == len(tris):
                 yield _mask_edges(chosen)
                 return
-            mark = len(trail)
+            mark, string = len(trail), (ones, decided)
             for step in (set_in, set_out):
-                if step(tris[i]):
+                if step(tris[i]) and self._lex_ok(swaps, ones, decided):
                     yield from dfs(i + 1)
                 while len(trail) > mark:
                     flip(*trail.pop())
+                ones, decided = string
 
         return dfs(0)
 
@@ -326,7 +362,7 @@ def exact_copos_ex(
     """Exact maximum of the minimum positive co-degree over F-free n-vertex hosts.
 
     Ascends k from the seed construction's value; each refuted k certifies
-    the value below it by exhausted search.  Capped at n <= 7.
+    the value below it by exhausted search.  Capped at n <= 8.
     ``on_progress`` receives one status line per decision call.
     """
     if isinstance(pattern, str):

@@ -207,8 +207,8 @@ class TestExact:
         sidecar = read_hypergraph(payload["extremalFile"])
         assert sidecar.n == 6
 
-    def test_eight_is_a_usage_error(self, capsys):
-        code, _, err = run(capsys, "exact", "--n", "8", "--pattern", "c5")
+    def test_nine_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "exact", "--n", "9", "--pattern", "c5")
         assert code == 2
 
     def test_jobs_flag_accepted(self, tmp_path, capsys, monkeypatch):

@@ -104,8 +104,11 @@ class TestDecision:
                 assert (scan_min_positive_codegree(host) or 0) >= k, f"branch {i}"
                 assert edges not in seen, f"branch {i} repeats a host"
                 seen.add(edges)
-        # no 6-vertex host of these patterns reaches co-degree 3
-        expected = {"c5": 170, "c5minus": 5, "f32": 63, "k4": 3015, "k4minus": 13}
+        # No 6-vertex host of these patterns reaches co-degree 3.  With
+        # lex-leader pruning in both phases a branch yields only the hosts
+        # that no transposition fixing their skeleton and the top
+        # assignment maps to a lex-greater one.
+        expected = {"c5": 56, "c5minus": 5, "f32": 44, "k4": 105, "k4minus": 2}
         assert len(seen) == (expected[name] if k == 2 else 0)
 
     @pytest.mark.parametrize("n,ks", [(6, (2, 3, 4)), (7, (3,))])
@@ -121,6 +124,12 @@ class TestDecision:
                 m.setattr(search._Decision, "_lex_ok", lambda self, *args: True)
                 reference = _first_hosts(n, pattern, k)
             assert pruned == reference, f"k={k}"
+
+    def test_the_unpruned_reference_prunes_nothing(self, monkeypatch):
+        # One patch of _lex_ok switches off both phases' pruning: the node
+        # count is the one recorded before the skeleton phase took it up.
+        monkeypatch.setattr(search._Decision, "_lex_ok", lambda self, *args: True)
+        assert exact_copos_ex(7, "c5minus").nodes_explored == 37412
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_lex_pruning_keeps_a_host_of_every_orbit(self, monkeypatch, name):
@@ -199,17 +208,30 @@ class TestExactValues:
         # Recorded node counts: the decision search prunes on pattern checks
         # through each added edge and on per-pair triangle counts, so a wrong
         # check or a drifting count changes these counts.
-        # Re-recorded when lex-leader pruning came in: it drops only
-        # skeletons that a top-fixing swap maps to a lex-greater one.
-        [(6, "k4minus", 157), (6, "k4", 398), (6, "c5minus", 227), (6, "c5", 288),
-         (6, "f32", 263), (7, "c5minus", 17720), (7, "k4minus", 2894), (7, "k4", 1349)],
+        # Re-recorded when lex-leader pruning came in, and again when the
+        # edge phase took it up: it drops only partial assignments whose
+        # every completion a transposition fixing the top assignment maps
+        # to a lex-greater one.
+        [(6, "k4minus", 157), (6, "k4", 301), (6, "c5minus", 227), (6, "c5", 278),
+         (6, "f32", 253), (7, "c5minus", 4747), (7, "k4minus", 2049), (7, "k4", 892)],
     )
     def test_node_counts_are_stable(self, n, pattern, nodes):
         assert exact_copos_ex(n, pattern).nodes_explored == nodes
 
+    @pytest.mark.parametrize(
+        "pattern,expected", [("c5", 4), ("c5minus", 2), ("k4minus", 2), ("k4", 3), ("f32", 4)]
+    )
+    def test_values_at_eight(self, pattern, expected):
+        outcome = exact_copos_ex(8, pattern)
+        assert outcome.value == expected
+        if pattern in ("c5", "c5minus", "k4minus"):
+            assert expected == known_extremal_value(8, pattern)
+        assert naive_find_embedding(outcome.extremal, pattern_by_name(pattern)) is None
+        assert scan_min_positive_codegree(outcome.extremal) == expected
+
     def test_range_enforced(self):
         with pytest.raises(PreconditionViolated):
-            exact_copos_ex(8, "c5")
+            exact_copos_ex(9, "c5")
         with pytest.raises(PreconditionViolated):
             exact_copos_ex(3, "c5")
 
