@@ -132,12 +132,6 @@ class TripleSystem:
             return 0
         return self._nbr[u][v]
 
-    def neighborhood(self, u: int, v: int) -> tuple[int, ...]:
-        return mask_vertices(self.neighborhood_mask(u, v))
-
-    def codegree(self, u: int, v: int) -> int:
-        return self.neighborhood_mask(u, v).bit_count()
-
     def relabel(self, perm) -> "TripleSystem":
         """Apply a vertex permutation (perm[old] = new)."""
         perm = tuple(perm)

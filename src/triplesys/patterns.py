@@ -8,8 +8,10 @@ Every containment query runs through one backtracking core, search_maps,
 driven by the search plans a pattern compiles on first use (see
 CompiledPattern).  find_embedding uses the identity vertex order without
 symmetry breaking, so it returns the lexicographically least map.  The
-existence-only queries (is_free and the through-edge checks) place the
-most constrained vertex first and break the pattern's automorphisms.
+existence-only queries (is_free and embeds_through_edge) place the most
+constrained vertex first and break the pattern's automorphisms.
+embeds_through_edge takes a bare pair-mask table, so the exact and the
+local search run the one through-edge check on the tables they change.
 """
 
 from __future__ import annotations
@@ -262,26 +264,20 @@ def find_embedding(host: TripleSystem, pattern: Pattern) -> Embedding | None:
     return None if m is None else Embedding(pattern, host, m)
 
 
-def embeds_through(nbr, n: int, pattern: Pattern, edge) -> bool:
-    """True iff some embedding into ``nbr`` maps a pattern edge onto ``edge``.
-
-    Runs one pinned search per orbit of ordered pattern edges, which covers
-    every (pattern edge, vertex permutation) pin.
-    """
-    t = tuple(edge)
-    for plan in pattern.compiled.through:
-        if search_maps(nbr, n, plan, t) is not None:
-            return True
-    return False
-
-
-def embeds_through_edge(host: TripleSystem, pattern: Pattern, edge) -> bool:
-    """True iff some embedding uses the given host edge as a pattern edge.
+def embeds_through_edge(nbr, pattern: Pattern, edge) -> bool:
+    """True iff some embedding into the pair-mask table ``nbr``, on
+    n = len(nbr) vertices, maps a pattern edge onto ``edge``.
 
     The incremental check behind single-edge moves: after toggling one edge
-    on, any new pattern copy must pass through it.
+    on, any new pattern copy must pass through it.  Runs one pinned search
+    per orbit of ordered pattern edges, which covers every (pattern edge,
+    vertex permutation) pin.
     """
-    return embeds_through(host.pair_masks, host.n, pattern, edge)
+    n = len(nbr)
+    for plan in pattern.compiled.through:
+        if search_maps(nbr, n, plan, edge) is not None:
+            return True
+    return False
 
 
 def is_free(host: TripleSystem, pattern: Pattern) -> bool:

@@ -14,7 +14,7 @@ phases are generators: one top-level branch yields the hosts it reaches,
 in search order, and decide_exists takes the first host in branch order.
 Isomorph rejection happens at the top of the tree: the pair states inside
 the first min(n, 5) vertices are enumerated once per orbit under that
-symmetric group, by brute-force canonical minimization.
+symmetric group, from a stored table of the least mask of each orbit.
 
 Inside a branch, lex-leader pruning (Crawford, Ginsberg, Luks and Roy, KR
 1996; Codish, Miller, Prosser and Stuckey, IJCAI 2013) breaks the symmetry
@@ -34,11 +34,12 @@ relabellings that fix its top assignment.
 
 The exact value then comes from ascending k starting at the value of the
 complete balanced k-partite seed construction, so tight instances need a
-single refutation call.  All decision calls of one exact run share one
-process pool.
+single refutation call.  decide_exists is the one decision driver: it
+maps the top branches over the process pool that all decision calls of
+one exact run share, or runs them in process.
 
 Both searches change their host one triple at a time with core.flip and
-run the through-edge pattern check on the pair masks, so no move rebuilds a
+run patterns.embeds_through_edge on the pair masks, so no move rebuilds a
 host.  The edge phase flips plain tables of open and chosen triangles; the
 local search keeps its host in one core.HostState, whose co-degree
 histogram gives the score.
@@ -47,7 +48,6 @@ histogram gives the score.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -64,7 +64,7 @@ from .core import (
     KNOWN_FAMILIES,
 )
 from .errors import InternalContradiction, PreconditionViolated
-from .patterns import Pattern, embeds_through, is_free, pattern_by_name
+from .patterns import Pattern, embeds_through_edge, is_free, pattern_by_name
 
 EXACT_MAX_N = 8
 EXACT_MIN_N = 4
@@ -93,33 +93,14 @@ def _pairs_within(m: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(m) for v in range(u + 1, m)]
 
 
-@functools.cache
-def _canonical_top_masks(m: int) -> tuple[int, ...]:
-    """One live-set representative per orbit of 2-colorings of the K_m pairs.
-
-    Cached: every decision call at the same m needs the same tuple.
-    """
-    pairs = _pairs_within(m)
-    index = {p: i for i, p in enumerate(pairs)}
-    perms = list(itertools.permutations(range(m)))
-    reps = []
-    for mask in range(1 << len(pairs)):
-        smallest = mask
-        for perm in perms:
-            mapped = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                u, v = pairs[low.bit_length() - 1]
-                rest ^= low
-                a, b = perm[u], perm[v]
-                mapped |= 1 << index[(a, b) if a < b else (b, a)]
-            if mapped < smallest:
-                smallest = mapped
-                break
-        if smallest == mask:
-            reps.append(mask)
-    return tuple(reps)
+# One live set per orbit of the 2-colourings of the pairs of K_m, m = min(n, 5),
+# under the symmetric group: the least mask of each orbit over _pairs_within(m),
+# in ascending order.  A test regenerates both tuples by brute force.
+_TOP_MASKS = {
+    4: (0, 1, 3, 7, 11, 12, 13, 15, 30, 31, 63),
+    5: (0, 1, 3, 7, 15, 19, 20, 21, 23, 28, 29, 31, 54, 55, 58, 59, 62, 63, 126, 127,
+        183, 184, 185, 187, 191, 207, 220, 221, 223, 254, 255, 495, 511, 1023),
+}
 
 
 def _moved_pairs(positions, index, a: int, b: int) -> list[tuple[int, int]]:
@@ -151,12 +132,14 @@ class _Decision:
         self.k = k
         self.nodes = 0
 
-    def hosts(self, top_pairs, top_mask: int):
+    def hosts(self, top_mask: int):
         """Yield the edges of the hosts of one top-level pair-state assignment,
-        in order.  Up to a relabelling that fixes the top assignment, every
-        host of the branch is yielded, and the first host is the one the
-        search without lex-leader pruning finds."""
+        the live pairs ``top_mask`` marks among the pairs inside the first
+        min(n, 5) vertices, in order.  Up to a relabelling that fixes the top
+        assignment, every host of the branch is yielded, and the first host
+        is the one the search without lex-leader pruning finds."""
         n = self.n
+        top_pairs = _pairs_within(min(n, 5))
         live = [0] * n
         ndadj = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
         for i, (u, v) in enumerate(top_pairs):
@@ -266,7 +249,7 @@ class _Decision:
             trail.append((chosen, t))
             ones |= 1 << position[t]
             decided |= 1 << position[t]
-            return not embeds_through(chosen, n, pattern, t)
+            return not embeds_through_edge(chosen, pattern, t)
 
         def set_out(t) -> bool:
             nonlocal decided
@@ -307,53 +290,40 @@ class _Decision:
 
 def _run_branch(args):
     """Worker entry point: one top-level branch of one decision run."""
-    n, pattern_name, k, m, top_mask = args
-    pattern = pattern_by_name(pattern_name)
-    dec = _Decision(n, pattern, k)
-    edges = next(dec.hosts(_pairs_within(m), top_mask), None)
+    n, pattern_name, k, top_mask = args
+    dec = _Decision(n, pattern_by_name(pattern_name), k)
+    edges = next(dec.hosts(top_mask), None)
     return edges, dec.nodes
 
 
-def decide_exists(n: int, pattern: Pattern, k: int, jobs: int = 1):
+def decide_exists(n: int, pattern: Pattern, k: int, pool=None):
     """F-free host with min positive co-degree >= k, or None, plus node count.
 
-    The result (host and count) is independent of ``jobs``: branches are
-    combined in their canonical order and counted up to the first success,
-    exactly as a sequential run would.
+    Maps the top branches over the executor ``pool``, or runs them in this
+    process when it is None.  The result (host and count) does not depend on
+    the pool: branches are combined in their canonical order and counted up
+    to the first success, exactly as a sequential run would.
     """
-    with _branch_pool(n, jobs) as pool:
-        return _decide(n, pattern, k, pool)
+    branch_args = [(n, pattern.name, k, mask) for mask in _TOP_MASKS[min(n, 5)]]
+    nodes = 0
+    for edges, branch_nodes in (map if pool is None else pool.map)(_run_branch, branch_args):
+        nodes += branch_nodes
+        if edges is not None:
+            return TripleSystem(n, edges), nodes
+    return None, nodes
 
 
 def _branch_pool(n: int, jobs: int):
     """A process pool for the top branches at n, or a null context giving
     None when at most one worker would run."""
     # never more workers than branches
-    workers = min(jobs, len(_canonical_top_masks(min(n, 5))))
+    workers = min(jobs, len(_TOP_MASKS[min(n, 5)]))
     if workers <= 1:
         return contextlib.nullcontext()
     # Lazy: loading the pool machinery costs more than importing the package.
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(max_workers=workers)
-
-
-def _decide(n: int, pattern: Pattern, k: int, pool):
-    """decide_exists on the branch pool ``pool``, or in this process if None."""
-    m = min(n, 5)
-    branch_args = [(n, pattern.name, k, m, mask) for mask in _canonical_top_masks(m)]
-    results = map if pool is None else pool.map
-    return _first_success(n, results(_run_branch, branch_args))
-
-
-def _first_success(n: int, results):
-    """The first branch's host in branch order, and the nodes counted up to it."""
-    nodes = 0
-    for edges, branch_nodes in results:
-        nodes += branch_nodes
-        if edges is not None:
-            return TripleSystem(n, edges), nodes
-    return None, nodes
 
 
 def exact_copos_ex(
@@ -387,7 +357,7 @@ def exact_copos_ex(
                 on_progress(
                     f"deciding co-degree >= {k} for {pattern.name}-free hosts on {n} vertices"
                 )
-            host, branch_nodes = _decide(n, pattern, k, pool)
+            host, branch_nodes = decide_exists(n, pattern, k, pool)
             nodes += branch_nodes
             if on_progress is not None:
                 on_progress(
@@ -448,7 +418,7 @@ def local_search_lower_bound(
         u, v, w = t
         adding = not nbr[u][v] >> w & 1
         state.toggle(t)
-        if adding and embeds_through(nbr, n, pattern, t):
+        if adding and embeds_through_edge(nbr, pattern, t):
             state.toggle(t)
             continue
         score = state.score()

@@ -125,13 +125,12 @@ def test_every_host_at_six_is_a_relabelling_of_a_yielded_one(name):
     # k = 1 is left out: up to 478k labelled hosts qualify, and the top
     # branches would yield tens of thousands of them.
     pattern = pattern_by_name(name)
-    top_pairs = search._pairs_within(5)
     free = _free_sets(6, pattern)
     for k in range(2, 5):
         brute = _members(free & _codegree_sets(6, k))
         yielded = set()
-        for mask in search._canonical_top_masks(5):
-            for edges in search._Decision(6, pattern, k).hosts(top_pairs, mask):
+        for mask in search._TOP_MASKS[5]:
+            for edges in search._Decision(6, pattern, k).hosts(mask):
                 e = _edge_set(6, edges)
                 assert e in brute, f"k={k} mask={mask}"
                 yielded.add(e)

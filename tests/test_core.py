@@ -18,7 +18,7 @@ from triplesys import (
     write_hypergraph,
 )
 from triplesys import cli
-from triplesys.core import HostState
+from triplesys.core import HostState, mask_vertices
 
 from conftest import random_host, scan_min_positive_codegree
 
@@ -59,10 +59,10 @@ class TestTripleSystem:
 
     def test_neighborhood_and_codegree(self):
         h = TripleSystem(5, [(0, 1, 2), (0, 1, 3)])
-        assert h.neighborhood(0, 1) == (2, 3)
-        assert h.codegree(0, 1) == 2
-        assert h.codegree(1, 0) == 2
-        assert h.neighborhood(0, 0) == ()
+        assert mask_vertices(h.neighborhood_mask(0, 1)) == (2, 3)
+        assert h.neighborhood_mask(0, 1).bit_count() == 2
+        assert h.neighborhood_mask(1, 0).bit_count() == 2
+        assert mask_vertices(h.neighborhood_mask(0, 0)) == ()
         assert h.has_edge(1, 0, 2)
         assert not h.has_edge(0, 1, 4)
 
@@ -164,13 +164,14 @@ class TestHostState:
             rebuilt = TripleSystem(n, edges)
             assert state.pair_masks == rebuilt.pair_masks
             assert state.snapshot() == rebuilt
-            hist = [sum(1 for u, v in pairs if rebuilt.codegree(u, v) == c) for c in range(n - 1)]
+            codegree = [rebuilt.neighborhood_mask(u, v).bit_count() for u, v in pairs]
+            hist = [codegree.count(c) for c in range(n - 1)]
             assert state.hist == hist
             delta = min_positive_codegree(rebuilt)
             if delta is None:
                 expected = (0, 0)
             else:
-                expected = (delta, -sum(1 for u, v in pairs if rebuilt.codegree(u, v) == delta))
+                expected = (delta, -codegree.count(delta))
             assert state.score() == expected
 
     def test_copies_the_host_table(self):

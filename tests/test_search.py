@@ -9,6 +9,7 @@ from triplesys import (
     TripleSystem,
     construct_complete_k_partite,
     decide_exists,
+    embeds_through_edge,
     exact_copos_ex,
     is_free,
     known_extremal_value,
@@ -18,25 +19,27 @@ from triplesys import (
     pattern_by_name,
 )
 from triplesys import search
-from triplesys.patterns import embeds_through
 
 from conftest import scan_min_positive_codegree
 
 
-def brute_force_copos_ex(n: int, pattern_name: str) -> int:
-    """Independent oracle: all 2^C(n,3) edge subsets."""
-    pattern = pattern_by_name(pattern_name)
-    triples = list(itertools.combinations(range(n), 3))
-    best = 0
-    for bits in range(1, 1 << len(triples)):
-        host = TripleSystem(n, (triples[i] for i in range(len(triples)) if bits >> i & 1))
-        delta = min_positive_codegree(host)
-        if delta is not None and delta > best and is_free(host, pattern):
-            best = delta
-    return best
-
-
 class TestDecision:
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_top_masks_are_the_least_of_each_orbit(self, m):
+        # Brute force: the least image of every live set over _pairs_within(m)
+        # under all m! relabellings, which regenerates the stored table.
+        pairs = search._pairs_within(m)
+        index = {p: i for i, p in enumerate(pairs)}
+        images = [
+            [1 << index[tuple(sorted((g[u], g[v])))] for u, v in pairs]
+            for g in itertools.permutations(range(m))
+        ]
+        least = {
+            min(sum(bit for i, bit in enumerate(image) if mask >> i & 1) for image in images)
+            for mask in range(1 << len(pairs))
+        }
+        assert search._TOP_MASKS[m] == tuple(sorted(least))
+
     def test_no_free_host_above_the_extremal_value_at_six(self):
         for name in ("c5", "c5minus"):
             host, _ = decide_exists(6, pattern_by_name(name), 3)
@@ -49,14 +52,18 @@ class TestDecision:
         assert min_positive_codegree(host) >= 2
 
     def test_worker_count_does_not_change_the_result(self):
+        from concurrent.futures import ProcessPoolExecutor
+
         pattern = pattern_by_name("c5")
-        host1, nodes1 = decide_exists(6, pattern, 2, jobs=1)
-        host2, nodes2 = decide_exists(6, pattern, 2, jobs=2)
-        assert host1 == host2
-        assert nodes1 == nodes2
-        none1, n1 = decide_exists(6, pattern, 3, jobs=1)
-        none2, n2 = decide_exists(6, pattern, 3, jobs=2)
-        assert none1 is None and none2 is None and n1 == n2
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            host1, nodes1 = decide_exists(6, pattern, 2)
+            host2, nodes2 = decide_exists(6, pattern, 2, pool)
+            assert host1 is not None
+            assert host1 == host2
+            assert nodes1 == nodes2
+            none1, n1 = decide_exists(6, pattern, 3)
+            none2, n2 = decide_exists(6, pattern, 3, pool)
+            assert none1 is None and none2 is None and n1 == n2
 
     def test_workers_are_capped_at_the_branch_count(self, monkeypatch):
         # A stand-in pool runs the branches in this process, so no worker
@@ -78,31 +85,54 @@ class TestDecision:
             map = staticmethod(map)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        pattern = pattern_by_name("c5")
-        assert decide_exists(6, pattern, 2, jobs=5000) == decide_exists(6, pattern, 2, jobs=1)
-        assert decide_exists(4, pattern, 2, jobs=5000) == decide_exists(4, pattern, 2, jobs=1)
-        assert asked == [len(search._canonical_top_masks(5)), len(search._canonical_top_masks(4))]
-        assert decide_exists(6, pattern, 2, jobs=0) == decide_exists(6, pattern, 2, jobs=1)
+        assert exact_copos_ex(6, "c5", jobs=5000) == exact_copos_ex(6, "c5", jobs=1)
+        assert exact_copos_ex(4, "c5", jobs=5000) == exact_copos_ex(4, "c5", jobs=1)
+        assert asked == [len(search._TOP_MASKS[5]), len(search._TOP_MASKS[4])]
+        assert exact_copos_ex(6, "c5", jobs=0) == exact_copos_ex(6, "c5", jobs=1)
         assert len(asked) == 2  # jobs < 2 runs in this process
-        # one pool serves every decision call of an exact run
-        assert exact_copos_ex(7, "k4", jobs=2) == exact_copos_ex(7, "k4", jobs=1)
+
+        calls = []
+
+        def recording(n, pattern, k, pool=None):
+            host, nodes = decide_exists(n, pattern, k, pool)
+            calls.append((k, pool, nodes))
+            return host, nodes
+
+        monkeypatch.setattr(search, "decide_exists", recording)
+        outcome = exact_copos_ex(7, "k4", jobs=2)
         assert asked[2:] == [2]
+        # one pool serves every decision call of an exact run: k = 3 finds
+        # a host and k = 4 refutes, and the run counts the nodes of both
+        assert [k for k, _, _ in calls] == [3, 4]
+        assert isinstance(calls[0][1], RecordingPool) and calls[1][1] is calls[0][1]
+        assert outcome.nodes_explored == sum(nodes for _, _, nodes in calls)
+        assert outcome == exact_copos_ex(7, "k4", jobs=1)
+        assert [pool for _, pool, _ in calls[2:]] == [None, None]
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("name", sorted(CATALOG))
-    def test_every_top_branch_returns_none_or_a_valid_host(self, name, k):
+    def test_every_top_branch_returns_none_or_a_valid_host(self, monkeypatch, name, k):
         # Every host of every branch, not only the first success: exact
         # stops at the first host in branch order, so an invalid host past
         # it would otherwise go unseen.  Checked with the independent oracles.
         pattern = pattern_by_name(name)
-        top_pairs = search._pairs_within(5)
+        passed = set()  # the triangles the edge phase's pattern check let in
+
+        def recording(nbr, pattern, edge):
+            hit = embeds_through_edge(nbr, pattern, edge)
+            if not hit:
+                passed.add(edge)
+            return hit
+
+        monkeypatch.setattr(search, "embeds_through_edge", recording)
         seen = set()
-        for i, mask in enumerate(search._canonical_top_masks(5)):
-            for edges in search._Decision(6, pattern, k).hosts(top_pairs, mask):
+        for i, mask in enumerate(search._TOP_MASKS[5]):
+            for edges in search._Decision(6, pattern, k).hosts(mask):
                 host = TripleSystem(6, edges)
                 assert naive_find_embedding(host, pattern) is None, f"branch {i}"
                 assert (scan_min_positive_codegree(host) or 0) >= k, f"branch {i}"
                 assert edges not in seen, f"branch {i} repeats a host"
+                assert passed.issuperset(edges), f"branch {i} skips a pattern check"
                 seen.add(edges)
         # No 6-vertex host of these patterns reaches co-degree 3.  With
         # lex-leader pruning in both phases a branch yields only the hosts
@@ -138,11 +168,11 @@ class TestDecision:
         # the branch's top assignment.
         pattern = pattern_by_name(name)
         top_pairs = search._pairs_within(5)
-        for mask in search._canonical_top_masks(5):
-            pruned = set(search._Decision(6, pattern, 2).hosts(top_pairs, mask))
+        for mask in search._TOP_MASKS[5]:
+            pruned = set(search._Decision(6, pattern, 2).hosts(mask))
             with monkeypatch.context() as m:
                 m.setattr(search._Decision, "_lex_ok", lambda self, *args: True)
-                reference = list(search._Decision(6, pattern, 2).hosts(top_pairs, mask))
+                reference = list(search._Decision(6, pattern, 2).hosts(mask))
             assert pruned <= set(reference)
             live = {p for i, p in enumerate(top_pairs) if mask >> i & 1}
             stabilizer = [
@@ -156,10 +186,9 @@ class TestDecision:
 
     def test_the_first_host_is_the_one_decide_exists_returns(self):
         pattern = pattern_by_name("c5")
-        top_pairs = search._pairs_within(5)
         dec = search._Decision(6, pattern, 2)
-        for mask in search._canonical_top_masks(5):
-            first = next(dec.hosts(top_pairs, mask), None)
+        for mask in search._TOP_MASKS[5]:
+            first = next(dec.hosts(mask), None)
             if first is not None:
                 break
         host, nodes = decide_exists(6, pattern, 2)
@@ -169,11 +198,9 @@ class TestDecision:
 
 def _first_hosts(n, pattern, k):
     """The first host of every top branch at n, or None, in branch order."""
-    m = min(n, 5)
-    top_pairs = search._pairs_within(m)
     return [
-        next(search._Decision(n, pattern, k).hosts(top_pairs, mask), None)
-        for mask in search._canonical_top_masks(m)
+        next(search._Decision(n, pattern, k).hosts(mask), None)
+        for mask in search._TOP_MASKS[min(n, 5)]
     ]
 
 
@@ -189,14 +216,6 @@ class TestExactValues:
         assert outcome.value == expected == known_extremal_value(n, pattern)
         assert is_free(outcome.extremal, pattern_by_name(pattern))
         assert min_positive_codegree(outcome.extremal) == outcome.value
-
-    @pytest.mark.parametrize("pattern", sorted(CATALOG))
-    def test_matches_brute_force_at_four(self, pattern):
-        assert exact_copos_ex(4, pattern).value == brute_force_copos_ex(4, pattern)
-
-    @pytest.mark.parametrize("pattern", sorted(CATALOG))
-    def test_matches_brute_force_at_five(self, pattern):
-        assert exact_copos_ex(5, pattern).value == brute_force_copos_ex(5, pattern)
 
     def test_repeat_runs_identical(self):
         a = exact_copos_ex(6, "c5")
@@ -324,13 +343,13 @@ class TestLocalSearchGolden:
     def test_matches_the_recorded_run(self, monkeypatch, args, checks, hits, edges_sha, trail_sha):
         trail = []
 
-        def recording(nbr, n, pattern, edge):
-            hit = embeds_through(nbr, n, pattern, edge)
+        def recording(nbr, pattern, edge):
+            hit = embeds_through_edge(nbr, pattern, edge)
             trail.append((tuple(edge), hit))
             return hit
 
         n, pattern, seed, budget = args
-        monkeypatch.setattr(search, "embeds_through", recording)
+        monkeypatch.setattr(search, "embeds_through_edge", recording)
         host = local_search_lower_bound(n, pattern, budget, seed)
         assert _sha256(host.edges) == edges_sha
         assert (len(trail), sum(hit for _, hit in trail)) == (checks, hits)

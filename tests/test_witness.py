@@ -374,7 +374,7 @@ class TestABCells:
         base = tuple(perm[v] for v in base)
 
         def nbhd(i, j):
-            return frozenset(host.neighborhood(base[i], base[j]))
+            return frozenset(mask_vertices(host.neighborhood_mask(base[i], base[j])))
 
         amask, bmask = _ab_cells(_neighbor_matrix(host, base))
         a_sets, b_sets = [], []
