@@ -27,7 +27,8 @@ from .fileio import (
     result_to_json,
     write_hypergraph,
 )
-from .patterns import find_embedding, is_free, pattern_by_name
+from .patterns import CATALOG, find_embedding, is_free, pattern_by_name
+from .search import EXACT_MAX_N, EXACT_MIN_N, LOCAL_MAX_N, LOCAL_MIN_N
 from .search import exact_copos_ex, local_search_lower_bound
 from .witness import analyze_half_degree, find_c5_witness, find_c5minus_witness
 
@@ -36,7 +37,7 @@ EXIT_IO = 1
 EXIT_PRECONDITION = 2
 EXIT_CONTRADICTION = 3
 
-PATTERN_CHOICES = ("k4minus", "k4", "c5minus", "c5", "f32")
+PATTERN_CHOICES = tuple(CATALOG)
 WITNESS_EXTRACTORS = {"c5": find_c5_witness, "c5minus": find_c5minus_witness}
 
 
@@ -199,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("exact", help="exact extremal value by exhaustive search")
-    p.add_argument("--n", type=int, required=True, help="vertex count (4..8)")
+    p.add_argument("--n", type=int, required=True, help=f"vertex count ({EXACT_MIN_N}..{EXACT_MAX_N})")
     p.add_argument("--pattern", required=True, choices=PATTERN_CHOICES)
     p.add_argument("--jobs", type=int, default=1, help="parallel branch workers")
     p.add_argument("--extremal-out", help="sidecar file for the extremal host")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("localsearch", help="stochastic lower-bound construction")
-    p.add_argument("--n", type=int, required=True, help="vertex count (8..24)")
+    p.add_argument("--n", type=int, required=True, help=f"vertex count ({LOCAL_MIN_N}..{LOCAL_MAX_N})")
     p.add_argument("--pattern", required=True, choices=PATTERN_CHOICES)
     p.add_argument("--budget", type=int, required=True, help="number of proposal steps")
     p.add_argument("--seed", type=int, required=True, help="random seed (mandatory)")

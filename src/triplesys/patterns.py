@@ -205,15 +205,17 @@ def _plan(pattern: Pattern, incident, group, start: tuple[int, ...]) -> SearchPl
     )
 
 
-def search_maps(nbr, n: int, plan: SearchPlan, pins=()) -> tuple[int, ...] | None:
+def search_maps(nbr, plan: SearchPlan, pins=()) -> tuple[int, ...] | None:
     """Backtracking core over any table of pair neighborhoods.
 
     ``nbr[u][v]`` must be the bitmask of vertices completing {u, v} to an
-    edge.  ``pins`` gives the images of the plan's first positions, which
-    must be distinct.  Candidates at each position are scanned in ascending
-    host order, so without symmetry breaking the result is the least map
-    in plan order.  Returns the map indexed by pattern vertex, or None.
+    edge, on n = len(nbr) vertices.  ``pins`` gives the images of the plan's
+    first positions, which must be distinct.  Candidates at each position
+    are scanned in ascending host order, so without symmetry breaking the
+    result is the least map in plan order.  Returns the map indexed by
+    pattern vertex, or None.
     """
+    n = len(nbr)
     order, closing, above = plan
     p = len(order)
     if p > n:
@@ -260,7 +262,7 @@ def find_embedding(host: TripleSystem, pattern: Pattern) -> Embedding | None:
     host order.  The returned map is therefore the minimum under tuple
     order, which makes certificates reproducible.
     """
-    m = search_maps(host.pair_masks, host.n, pattern.compiled.lex)
+    m = search_maps(host.pair_masks, pattern.compiled.lex)
     return None if m is None else Embedding(pattern, host, m)
 
 
@@ -273,16 +275,15 @@ def embeds_through_edge(nbr, pattern: Pattern, edge) -> bool:
     per orbit of ordered pattern edges, which covers every (pattern edge,
     vertex permutation) pin.
     """
-    n = len(nbr)
     for plan in pattern.compiled.through:
-        if search_maps(nbr, n, plan, edge) is not None:
+        if search_maps(nbr, plan, edge) is not None:
             return True
     return False
 
 
 def is_free(host: TripleSystem, pattern: Pattern) -> bool:
     """True iff the host contains no copy of the pattern."""
-    return search_maps(host.pair_masks, host.n, pattern.compiled.exists) is None
+    return search_maps(host.pair_masks, pattern.compiled.exists) is None
 
 
 def naive_find_embedding(host: TripleSystem, pattern: Pattern) -> Embedding | None:

@@ -64,7 +64,7 @@ from .core import (
     KNOWN_FAMILIES,
 )
 from .errors import InternalContradiction, PreconditionViolated
-from .patterns import Pattern, embeds_through_edge, is_free, pattern_by_name
+from .patterns import CATALOG, Pattern, embeds_through_edge, is_free, pattern_by_name
 
 EXACT_MAX_N = 8
 EXACT_MIN_N = 4
@@ -296,14 +296,29 @@ def _run_branch(args):
     return edges, dec.nodes
 
 
+def _check_exact_input(n: int, pattern: Pattern) -> None:
+    """Reject what a branch worker cannot run: n outside EXACT_MIN_N..EXACT_MAX_N,
+    or a pattern other than the catalog's pattern of its name, since a worker
+    gets the name alone and looks the pattern up in the catalog."""
+    if not EXACT_MIN_N <= n <= EXACT_MAX_N:
+        raise PreconditionViolated(
+            f"exact search supports {EXACT_MIN_N} <= n <= {EXACT_MAX_N}, got n={n}"
+        )
+    if CATALOG.get(pattern.name) != pattern:
+        raise PreconditionViolated(f"exact search takes catalog patterns only, got {pattern}")
+
+
 def decide_exists(n: int, pattern: Pattern, k: int, pool=None):
     """F-free host with min positive co-degree >= k, or None, plus node count.
 
     Maps the top branches over the executor ``pool``, or runs them in this
     process when it is None.  The result (host and count) does not depend on
     the pool: branches are combined in their canonical order and counted up
-    to the first success, exactly as a sequential run would.
+    to the first success, exactly as a sequential run would.  A worker gets
+    only the pattern's name, so PreconditionViolated is raised unless
+    ``pattern`` is the catalog's pattern of that name and n is in range.
     """
+    _check_exact_input(n, pattern)
     branch_args = [(n, pattern.name, k, mask) for mask in _TOP_MASKS[min(n, 5)]]
     nodes = 0
     for edges, branch_nodes in (map if pool is None else pool.map)(_run_branch, branch_args):
@@ -332,15 +347,12 @@ def exact_copos_ex(
     """Exact maximum of the minimum positive co-degree over F-free n-vertex hosts.
 
     Ascends k from the seed construction's value; each refuted k certifies
-    the value below it by exhausted search.  Capped at n <= 8.
+    the value below it by exhausted search.  Capped at n <= EXACT_MAX_N.
     ``on_progress`` receives one status line per decision call.
     """
     if isinstance(pattern, str):
         pattern = pattern_by_name(pattern)
-    if not EXACT_MIN_N <= n <= EXACT_MAX_N:
-        raise PreconditionViolated(
-            f"exact search supports {EXACT_MIN_N} <= n <= {EXACT_MAX_N}, got n={n}"
-        )
+    _check_exact_input(n, pattern)
     extremal = _seed_construction(n, pattern)
     if not is_free(extremal, pattern):
         raise InternalContradiction(

@@ -89,12 +89,13 @@ class StructureCertificate:
     pairing: tuple[tuple[int, int], ...]
 
     def verify(self) -> bool:
-        """Re-check every invariant from scratch; True iff all hold."""
+        """Re-check every invariant from scratch; True iff all hold.  A base
+        that is not four distinct host vertices spanning a K4, or other than
+        four A-cells and four B-cells, gives False rather than an error."""
         host, base = self.host, self.base
         n = host.n
-        if len(set(base)) != 4 or not all(0 <= v < n for v in base):
-            return False
-        if not _is_k4(host, base):
+        nm = _k4_matrix(host, base)
+        if nm is None or len(self.a_sets) != 4 or len(self.b_sets) != 4:
             return False
         cells = list(self.a_sets) + list(self.b_sets)
         if sum(len(c) for c in cells) != n:
@@ -104,7 +105,7 @@ class StructureCertificate:
             union |= c
         if union != set(range(n)):
             return False
-        amask, bmask = _ab_cells(_neighbor_matrix(host, base))
+        amask, bmask = _ab_cells(nm)
         for i in range(4):
             if self.a_sets[i] != frozenset(mask_vertices(amask[i])):
                 return False
@@ -185,14 +186,14 @@ def _ab_cells(nm) -> tuple[list[int], list[int]]:
     return amask, bmask
 
 
-def _is_k4(host: TripleSystem, base) -> bool:
-    a, b, c, d = base
-    return (
-        host.has_edge(a, b, c)
-        and host.has_edge(a, b, d)
-        and host.has_edge(a, c, d)
-        and host.has_edge(b, c, d)
-    )
+def _k4_matrix(host: TripleSystem, base):
+    """The base's neighbor matrix, or None unless ``base`` is four distinct host
+    vertices spanning a K4 ({b_i, b_j, b_k} is an edge iff b_k is in N(b_i, b_j))."""
+    if len(base) != 4 or len(set(base)) != 4 or not all(0 <= v < host.n for v in base):
+        return None
+    nm = _neighbor_matrix(host, base)
+    k4 = nm[0][1] >> base[2] & nm[0][1] >> base[3] & nm[2][3] >> base[0] & nm[2][3] >> base[1]
+    return nm if k4 & 1 else None
 
 
 def _base_mask(base) -> int:
@@ -244,6 +245,20 @@ def _k4minus_base(host: TripleSystem) -> tuple[int, int, int, int]:
     return (apex, rest[0], rest[1], rest[2])
 
 
+def _codegree_above(host: TripleSystem, divisor: int) -> int:
+    """The extractors' gate: n >= 6 and a min positive co-degree above n/divisor."""
+    n = host.n
+    if n < 6:
+        raise PreconditionViolated(f"need n >= 6, got n={n}")
+    delta = min_positive_codegree(host)
+    threshold = n // divisor + 1
+    if delta is None or delta < threshold:
+        raise PreconditionViolated(
+            f"need min positive co-degree >= {threshold} (strictly above n/{divisor}), got {delta}"
+        )
+    return delta
+
+
 def find_c5minus_witness(host: TripleSystem) -> Embedding:
     """Locate a tight 5-cycle minus one edge in a host with co-degree above n/3.
 
@@ -254,14 +269,7 @@ def find_c5minus_witness(host: TripleSystem) -> Embedding:
     two hosting index pairs overlap.
     """
     n = host.n
-    if n < 6:
-        raise PreconditionViolated(f"need n >= 6, got n={n}")
-    delta = min_positive_codegree(host)
-    threshold = n // 3 + 1
-    if delta is None or delta < threshold:
-        raise PreconditionViolated(
-            f"need min positive co-degree >= {threshold} (strictly above n/3), got {delta}"
-        )
+    delta = _codegree_above(host, 3)
     base = _k4minus_base(host)
     bmask = _base_mask(base)
     outside = ((1 << n) - 1) & ~bmask
@@ -373,14 +381,7 @@ def find_c5_witness(host: TripleSystem) -> Embedding:
     contains it twice.
     """
     n = host.n
-    if n < 6:
-        raise PreconditionViolated(f"need n >= 6, got n={n}")
-    delta = min_positive_codegree(host)
-    threshold = n // 2 + 1
-    if delta is None or delta < threshold:
-        raise PreconditionViolated(
-            f"need min positive co-degree >= {threshold} (strictly above n/2), got {delta}"
-        )
+    delta = _codegree_above(host, 2)
     k4 = find_embedding(host, K4)
     if k4 is None:
         return _validated(host, C5, _extract_c5_k4free(host))
@@ -448,10 +449,10 @@ class _HalfDegreeAnalyzer:
         the three pairings are complementary; any vertex lying in both sets
         of a pairing yields a C5 instead.
         """
-        host, n = self.host, self.n
-        if not _is_k4(host, base):
+        n = self.n
+        nm = _k4_matrix(self.host, base)
+        if nm is None:
             raise InternalContradiction("base is not a K4", {"base": tuple(base)})
-        nm = _neighbor_matrix(host, base)
         outside = self.full & ~_base_mask(base)
         for v in mask_vertices(outside):
             m5 = _c5_from_quad(base, nm, v)
@@ -885,19 +886,19 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
     The report records whether the fact-specific hypotheses hold (they are
     never assumed), whether the statement itself holds, a concrete
     counterexample tuple when it fails, and a validated C5 embedding when
-    the failure mode directly exhibits one.
+    the failure mode directly exhibits one.  Raises PreconditionViolated
+    unless ``base`` is four distinct host vertices spanning a K4 and
+    ``fact_id`` is in 1..10.
     """
     base = tuple(base)
-    if len(set(base)) != 4 or not all(0 <= v < host.n for v in base):
-        raise PreconditionViolated(f"base must be 4 distinct vertices, got {base}")
-    if not _is_k4(host, base):
-        raise PreconditionViolated(f"base {base} is not a K4 in the host")
+    nm = _k4_matrix(host, base)
+    if nm is None:
+        raise PreconditionViolated(f"base {base} is not 4 distinct host vertices spanning a K4")
     if fact_id not in FACT_NAMES:
         raise PreconditionViolated(f"fact_id must be in 1..10, got {fact_id}")
     n = host.n
     delta = min_positive_codegree(host)
     ambient = n % 2 == 0 and delta == n // 2
-    nm = _neighbor_matrix(host, base)
     full = (1 << n) - 1
     amask, bmask = _ab_cells(nm)
     name = FACT_NAMES[fact_id]
@@ -1055,10 +1056,8 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
             for x in range(len(members)):
                 for y in range(x + 1, len(members)):
                     a, b = members[x], members[y]
-                    if not _is_k4(host, (base[i], base[j], a, b)):
-                        continue
-                    _, s_bmask = _ab_cells(_neighbor_matrix(host, (base[i], base[j], a, b)))
-                    if not s_bmask[0]:
+                    s_nm = _k4_matrix(host, (base[i], base[j], a, b))
+                    if s_nm is not None and not _ab_cells(s_nm)[1][0]:
                         return FactReport(fact_id, name, True, False, (base[j], a, b))
         return FactReport(fact_id, name, True, True)
 

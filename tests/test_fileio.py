@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from triplesys import (
     ParseError,
+    StructureCertificate,
     TripleSystem,
     analyze_half_degree,
     complete_triple_system,
@@ -61,6 +63,105 @@ def _parse_outcome(parse, text):
     except ParseError as err:
         return ("error", err.line, str(err))
     return ("host", host.n, host.edges, host.pair_masks)
+
+
+def _classes_certificate():
+    """The r0 = 2 certificate of a 12-vertex host whose cells around the base
+    (0, 1, 2, 3) carry a nonempty apex B-cell {10, 11}, split into two paired
+    singleton classes.  Validation does not involve the co-degree
+    precondition, only the recorded set facts."""
+    missing = [
+        (0, 1, 4), (0, 1, 5), (0, 1, 6), (0, 1, 7), (0, 2, 4), (0, 2, 5),
+        (0, 2, 6), (0, 2, 8), (0, 3, 4), (0, 3, 5), (0, 3, 6), (0, 3, 9),
+        (1, 2, 7), (1, 2, 8), (1, 2, 10), (1, 2, 11), (1, 3, 7), (1, 3, 9),
+        (1, 3, 10), (1, 3, 11), (2, 3, 8), (2, 3, 9), (2, 3, 10), (2, 3, 11),
+    ]
+    host = parse_hypergraph(
+        serialize_hypergraph(
+            TripleSystem(12, set(complete_triple_system(12).edges) - set(missing))
+        )
+    )
+    return StructureCertificate(
+        host=host,
+        base=(0, 1, 2, 3),
+        a_sets=(
+            frozenset({0, 4, 5, 6}), frozenset({1, 7}),
+            frozenset({2, 8}), frozenset({3, 9}),
+        ),
+        b_sets=(frozenset({10, 11}), frozenset(), frozenset(), frozenset()),
+        q=2,
+        r0=2,
+        classes=(frozenset({10}), frozenset({11})),
+        pairing=((0, 1),),
+    )
+
+
+def _partite_certificate():
+    """The r0 = 0 certificate of the balanced 4-partite host on 8 vertices."""
+    host, _ = construct_complete_k_partite(8, 4)
+    return analyze_half_degree(host)
+
+
+def _exchange(cells, i, j):
+    """The cells with the largest members of cells i and j exchanged."""
+    a, b = max(cells[i]), max(cells[j])
+    cells = list(cells)
+    cells[i], cells[j] = cells[i] - {a} | {b}, cells[j] - {b} | {a}
+    return tuple(cells)
+
+
+def _with_cell(cells, i, cell):
+    return cells[:i] + (frozenset(cell),) + cells[i + 1:]
+
+
+# Each breaks one invariant of StructureCertificate.verify.  These apply to
+# any certificate; the base (0, 1, 2, 4) is not a K4 in either host.
+_TAMPER_ANY = [
+    ("base-repeats-a-vertex", lambda c: replace(c, base=c.base[:3] + c.base[2:3])),
+    ("base-of-five-entries", lambda c: replace(c, base=c.base + c.base[3:])),
+    ("base-outside-the-host", lambda c: replace(c, base=c.base[:3] + (c.host.n,))),
+    ("base-not-a-k4", lambda c: replace(c, base=(0, 1, 2, 4))),
+    ("three-b-cells", lambda c: replace(c, b_sets=c.b_sets[:3])),
+    ("five-a-cells", lambda c: replace(c, a_sets=c.a_sets + (frozenset(),))),
+    (
+        "vertex-in-two-cells",
+        lambda c: replace(c, a_sets=_with_cell(c.a_sets, 1, c.a_sets[1] | {c.base[0]})),
+    ),
+    (
+        "vertex-in-no-cell",
+        lambda c: replace(
+            c, a_sets=_with_cell(c.a_sets, 1, c.a_sets[1] - {max(c.a_sets[1])} | {c.base[0]})
+        ),
+    ),
+    ("a-cells-exchange-members", lambda c: replace(c, a_sets=_exchange(c.a_sets, 1, 2))),
+    ("q-off-by-one", lambda c: replace(c, q=c.q + 1)),
+]
+# For the r0 = 2 certificate, whose apex B-cell {10, 11} is split into two
+# paired singleton classes.
+_TAMPER_ONE_B = [
+    ("b-cell-moved", lambda c: replace(c, b_sets=c.b_sets[1:] + c.b_sets[:1])),
+    ("r0-off", lambda c: replace(c, r0=4)),
+    ("r0-zero", lambda c: replace(c, r0=0)),
+    ("empty-class", lambda c: replace(c, classes=c.classes + (frozenset(),))),
+    ("overlapping-classes", lambda c: replace(c, classes=(frozenset({10}), frozenset({10, 11})))),
+    ("classes-miss-a-b-vertex", lambda c: replace(c, classes=c.classes[:1])),
+    ("classes-joined", lambda c: replace(c, classes=(frozenset({10, 11}),), pairing=())),
+    (
+        "classes-split-an-empty-pair",
+        lambda c: replace(
+            c, host=TripleSystem(c.host.n, [e for e in c.host.edges if not {10, 11} <= set(e)])
+        ),
+    ),
+    ("pairing-fixes-a-class", lambda c: replace(c, pairing=((0, 0),))),
+    ("pairing-repeats-a-class", lambda c: replace(c, pairing=((0, 1), (1, 0)))),
+    ("pairing-out-of-range", lambda c: replace(c, pairing=((0, 2),))),
+    ("pairing-misses-a-class", lambda c: replace(c, pairing=())),
+]
+# For the r0 = 0 certificate, which has no nonempty B-cell.
+_TAMPER_NO_B = [
+    ("r0-without-a-b-cell", lambda c: replace(c, r0=2)),
+    ("classes-without-a-b-cell", lambda c: replace(c, classes=(frozenset({0}),))),
+]
 
 
 class TestHostFormat:
@@ -152,48 +253,23 @@ class TestCertificateJson:
         assert back == cert
 
     def test_structure_with_classes_round_trip(self):
-        # A host whose literal cell structure around (0,1,2,3) carries a
-        # nonempty apex B-cell {10, 11} split into two paired singleton
-        # classes; certificate validation does not involve the co-degree
-        # precondition, only the recorded set facts.
-        from triplesys import StructureCertificate, complete_triple_system
-
-        missing = [
-            (0, 1, 4), (0, 1, 5), (0, 1, 6), (0, 1, 7), (0, 2, 4), (0, 2, 5),
-            (0, 2, 6), (0, 2, 8), (0, 3, 4), (0, 3, 5), (0, 3, 6), (0, 3, 9),
-            (1, 2, 7), (1, 2, 8), (1, 2, 10), (1, 2, 11), (1, 3, 7), (1, 3, 9),
-            (1, 3, 10), (1, 3, 11), (2, 3, 8), (2, 3, 9), (2, 3, 10), (2, 3, 11),
-        ]
-        host = parse_hypergraph(
-            serialize_hypergraph(
-                TripleSystem(12, set(complete_triple_system(12).edges) - set(missing))
-            )
-        )
-        cert = StructureCertificate(
-            host=host,
-            base=(0, 1, 2, 3),
-            a_sets=(
-                frozenset({0, 4, 5, 6}), frozenset({1, 7}),
-                frozenset({2, 8}), frozenset({3, 9}),
-            ),
-            b_sets=(frozenset({10, 11}), frozenset(), frozenset(), frozenset()),
-            q=2,
-            r0=2,
-            classes=(frozenset({10}), frozenset({11})),
-            pairing=((0, 1),),
-        )
+        cert = _classes_certificate()
         assert cert.verify()
         data = result_to_json(cert)
         assert data["classes"] == [[10], [11]] and data["pairing"] == [[0, 1]]
-        assert result_from_json(data, host) == cert
-        # breaking the pairing or the classes must fail validation
-        import dataclasses
+        assert result_from_json(data, cert.host) == cert
 
-        assert not dataclasses.replace(cert, pairing=((0, 0),)).verify()
-        assert not dataclasses.replace(
-            cert, classes=(frozenset({10, 11}),), pairing=()
-        ).verify()
-        assert not dataclasses.replace(cert, r0=4).verify()
+    @pytest.mark.parametrize(
+        "certificate, tamper",
+        [(_classes_certificate, t) for _, t in _TAMPER_ANY + _TAMPER_ONE_B]
+        + [(_partite_certificate, t) for _, t in _TAMPER_ANY + _TAMPER_NO_B],
+        ids=[f"r0=2-{name}" for name, _ in _TAMPER_ANY + _TAMPER_ONE_B]
+        + [f"r0=0-{name}" for name, _ in _TAMPER_ANY + _TAMPER_NO_B],
+    )
+    def test_broken_invariant_fails_verification(self, certificate, tamper):
+        cert = certificate()
+        assert cert.verify()
+        assert not tamper(cert).verify()
 
     def test_tampered_embedding_rejected(self):
         host = complete_triple_system(6)
@@ -213,10 +289,15 @@ class TestCertificateJson:
 
     def test_tampered_structure_rejected(self):
         host, _ = construct_complete_k_partite(8, 4)
-        data = result_to_json(analyze_half_degree(host))
-        data["q"] += 1
-        with pytest.raises(ValueError):
-            result_from_json(data, host)
+        good = result_to_json(analyze_half_degree(host))
+        # a wrong q, three B-cells, and the base's last vertex repeated
+        for key, value in [
+            ("q", good["q"] + 1),
+            ("B", good["B"][:3]),
+            ("base", good["base"] + good["base"][3:]),
+        ]:
+            with pytest.raises(ValueError, match="structure certificate failed validation"):
+                result_from_json(dict(good, **{key: value}), host)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

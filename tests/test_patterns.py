@@ -12,6 +12,7 @@ from triplesys import (
     K4,
     K4MINUS,
     Embedding,
+    Pattern,
     TripleSystem,
     complete_triple_system,
     construct_complete_k_partite,
@@ -39,6 +40,15 @@ class TestCatalog:
         assert pattern_by_name("C5Minus") is C5MINUS
         with pytest.raises(KeyError):
             pattern_by_name("c6")
+
+    @pytest.mark.parametrize("edge", [(0, 1, 1), (0, 1, 4), (-1, 0, 1)])
+    def test_bad_edge_rejected(self, edge):
+        with pytest.raises(ValueError, match="bad pattern edge"):
+            Pattern("bad", 4, ((0, 1, 2), edge))
+
+    def test_duplicate_edge_rejected(self):
+        with pytest.raises(ValueError, match="duplicate pattern edge"):
+            Pattern("dup", 4, ((0, 1, 2), (1, 2, 3), (0, 1, 2)))
 
 
 class TestFindEmbedding:

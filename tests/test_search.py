@@ -5,6 +5,7 @@ import pytest
 
 from triplesys import (
     CATALOG,
+    Pattern,
     PreconditionViolated,
     TripleSystem,
     construct_complete_k_partite,
@@ -39,6 +40,19 @@ class TestDecision:
             for mask in range(1 << len(pairs))
         }
         assert search._TOP_MASKS[m] == tuple(sorted(least))
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [Pattern("c5", 4, ((0, 1, 2), (1, 2, 3))), Pattern("c6", 4, ((0, 1, 2), (1, 2, 3)))],
+        ids=["custom-c5", "non-catalog-name"],
+    )
+    def test_only_catalog_patterns_are_decided(self, pattern):
+        # a branch worker receives the name alone and looks it up in the
+        # catalog, so it would search the catalog's C5 for the custom "c5"
+        with pytest.raises(PreconditionViolated, match="catalog patterns only"):
+            decide_exists(6, pattern, 2)
+        with pytest.raises(PreconditionViolated, match="catalog patterns only"):
+            exact_copos_ex(6, pattern)
 
     def test_no_free_host_above_the_extremal_value_at_six(self):
         for name in ("c5", "c5minus"):
@@ -253,6 +267,9 @@ class TestExactValues:
             exact_copos_ex(9, "c5")
         with pytest.raises(PreconditionViolated):
             exact_copos_ex(3, "c5")
+        for n in (3, 9):  # the decision driver takes the same range
+            with pytest.raises(PreconditionViolated, match="exact search supports 4 <= n <= 8"):
+                decide_exists(n, pattern_by_name("c5"), 2)
 
 
 class TestLocalSearch:

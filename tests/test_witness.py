@@ -267,8 +267,11 @@ class TestAnalyzeHalfDegree:
 class TestCheckFact:
     def test_rejects_non_k4_base(self):
         host, _ = construct_complete_k_partite(8, 4)
-        with pytest.raises(PreconditionViolated):
-            check_fact(host, (0, 1, 2, 3), 1)  # 0,1 share a part: not a K4
+        # 0,1 share a part: not a K4; then five entries over four vertices,
+        # the K4 (0, 2, 4, 6) with a repeated vertex, and a vertex outside the host
+        for base in [(0, 1, 2, 3), (0, 1, 2, 3, 3), (0, 2, 4, 6, 6), (0, 2, 4, 4), (0, 2, 4, 8)]:
+            with pytest.raises(PreconditionViolated, match="spanning a K4"):
+                check_fact(host, base, 1)
 
     def test_rejects_bad_fact_id(self):
         host, _ = construct_complete_k_partite(8, 4)
