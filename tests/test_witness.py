@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -17,13 +18,17 @@ from triplesys import (
     complete_triple_system,
     construct_complete_k_partite,
     find_c5_witness,
+    find_embedding,
     find_c5minus_witness,
     is_free,
     mask_vertices,
     min_positive_codegree,
     validate_embedding,
 )
-from triplesys.witness import FACT_NAMES, _extract_c5_k4free
+from triplesys.fileio import result_to_json
+from triplesys.witness import (
+    FACT_NAMES, _Ctx, _extract_c5_k4free, _FoundC5, _HalfDegreeAnalyzer, _neighbor_matrix,
+)
 
 from conftest import random_host, random_host_above
 
@@ -480,3 +485,177 @@ class TestSoundnessSweep:
             emb = find_c5_witness(host)
             assert emb.pattern.name == "c5" and validate_embedding(emb)
             assert find_embedding(host, C5) is not None
+
+
+def _typed_host(q, groups, cross, linked, flipped, rng):
+    """A host built from cell labels around the base (0, 1, 2, 3), relabelled.
+
+    Base vertex i heads the cell A_i; the sizes are q + r0, q, q, q, and the
+    B-cell at base position 0 holds r0 vertices split into labelled groups
+    of the sizes in ``groups``.  A triple's edge status depends only on its
+    labels: an edge is three distinct A-cells, or A_0, another A-cell and a
+    B vertex, or two B vertices of ``linked`` groups with an A-cell in
+    ``cross``.  Each label triple in ``flipped`` has its status inverted.
+    Returns the host and the image of the base.
+    """
+    r0 = sum(groups)
+    labels = [("A", i) for i in range(4)]
+    labels += [("A", i) for i, size in enumerate((q + r0, q, q, q)) for _ in range(size - 1)]
+    labels += [("B", g) for g, size in enumerate(groups) for _ in range(size)]
+    n = len(labels)
+    edges = []
+    for t in itertools.combinations(range(n), 3):
+        kind = tuple(sorted(labels[v] for v in t))
+        a = [i for k, i in kind if k == "A"]
+        b = [g for k, g in kind if k == "B"]
+        if not b:
+            edge = len(set(a)) == 3
+        elif len(b) == 1:
+            edge = a[0] == 0 and a[1] != 0
+        else:
+            edge = len(b) == 2 and (b[0], b[1]) in linked and a[0] in cross
+        if edge != (kind in flipped):
+            edges.append(t)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return TripleSystem(n, edges).relabel(perm), tuple(perm[:4])
+
+
+#: (q, groups, cross, linked) of the typed hosts.  The first and third give
+#: certificates with r0 = 2 and r0 = 4 on their base, the second has no K4
+#: partner in the B-cell, and the last two make the empty-pair relation on
+#: the B-cell intransitive.
+_TYPED = [
+    (1, (1, 1), (0, 1), {(0, 1)}),
+    (1, (1, 1), (0,), {(0, 1)}),
+    (2, (2, 2), (0, 1), {(0, 1)}),
+    (1, (1, 1, 1), (0, 1), {(1, 2)}),
+    (1, (1, 1, 1, 1), (0, 1), {(1, 2), (0, 3), (1, 3), (2, 3)}),
+]
+
+
+def _golden_corpus():
+    """(host, planted base or None) pairs, from one seeded generator."""
+    rng = random.Random(14)
+    for n in range(6, 15):
+        # above n/2, exactly n/2 (even n only), and above n/3
+        for threshold, count in ((n // 2 + 1, 4), (n // 2, 0 if n % 2 else 10), (n // 3 + 1, 2)):
+            for _ in range(count):
+                yield random_host_above(n, threshold, rng), None
+    for n in range(8, 25, 2):
+        for k in range(3, 7):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield construct_complete_k_partite(n, k)[0].relabel(perm), None
+    yield _deep_host_8(), None
+    yield _without_pair(6, 4, 5), None
+    for d in (1, 2):
+        for b_sizes in itertools.product(range(3), repeat=4):
+            if 2 * sum(b_sizes) + 4 * d <= 14:
+                host = _planted_cells_host(d, b_sizes, rng)
+                perm = list(range(host.n))
+                rng.shuffle(perm)
+                yield host.relabel(perm), None
+    for q, groups, cross, linked in _TYPED:
+        labels = [("A", i) for i in range(4)] + [("B", g) for g in range(len(groups))]
+        kinds = list(itertools.combinations_with_replacement(labels, 3))
+        for flipped in [()] + [(k,) for k in kinds] + [rng.sample(kinds, 2) for _ in range(20)]:
+            yield _typed_host(q, groups, cross, linked, set(flipped), rng)
+
+
+class TestWitnessGolden:
+    """Every boundary-analysis outcome on a seeded corpus, pinned by one hash.
+
+    Per host it records analyze_half_degree's result with every fact it
+    reports, both extractors' results, and check_fact's ten reports on the
+    first K4.  On a typed host it also drives the analyzer on the planted
+    base, whatever the host's co-degree, and asks k4_partner for every member
+    of each nonempty B-cell; on any other host at an even n >= 6 it does the
+    same for a random layout of cells around the first K4.  A result is its
+    result_to_json, a partner its vertex, a surfaced cycle its map, and an
+    error its class, message and sorted state.  Recorded before the steps
+    that the analyzer wrote twice were written once.
+    """
+
+    SHA256 = "1e2846b924b995e92e08ce46a3f93a53acbdb6a322209aee50e2929ff5974da1"
+
+    @staticmethod
+    def _outcome(run):
+        try:
+            result = run()
+        except _FoundC5 as found:
+            return ("C5", found.map5)
+        except (PreconditionViolated, InternalContradiction) as exc:
+            return (type(exc).__name__, exc.args[0], sorted(getattr(exc, "state", {}).items()))
+        return result if isinstance(result, int) else result_to_json(result)
+
+    def _partners(self, host, ctx):
+        analyzer = _HalfDegreeAnalyzer(host)
+        return [
+            self._outcome(lambda: analyzer.k4_partner(ctx, a, istar, j2))
+            for istar in ctx.nonempty
+            for j2 in range(4) if j2 != istar
+            for a in mask_vertices(ctx.bmask[istar])
+        ]
+
+    def _planted(self, host, base):
+        facts = []
+        analyzer = _HalfDegreeAnalyzer(host, facts.append)
+
+        def analyze():
+            ctx = analyzer.make_ctx(base)
+            if len(ctx.nonempty) >= 2:
+                analyzer.two_nonempty_hunt(ctx)
+            return analyzer.certificate(ctx)
+
+        record = [self._outcome(analyze), facts]
+        try:
+            ctx = _HalfDegreeAnalyzer(host).make_ctx(base)
+        except (_FoundC5, InternalContradiction):
+            return record
+        return record + self._partners(host, ctx)
+
+    def _laid_out(self, host, base, rng):
+        """The certificate step and k4_partner on a random layout of balanced
+        cells around the base, at an even n >= 6: sizes q + r0 and q, and r0 > 0
+        vertices in the B-cell at a random position, whatever the host's
+        neighborhoods say.  This meets states the theory rules out."""
+        istar = rng.randrange(4)
+        r0 = rng.choice([r for r in range(1, host.n // 2) if (host.n - 2 * r) % 4 == 0])
+        q = (host.n - 2 * r0) // 4
+        rest = [v for v in range(host.n) if v not in base]
+        rng.shuffle(rest)
+        amask = [1 << v for v in base]
+        bmask = [0, 0, 0, 0]
+        for v in rest[:r0]:
+            bmask[istar] |= 1 << v
+        cells = [i for i in range(4) for _ in range(q - 1 + (r0 if i == istar else 0))]
+        for v, i in zip(rest[r0:], cells):
+            amask[i] |= 1 << v
+        ctx = _Ctx(base, _neighbor_matrix(host, base), amask, bmask, q)
+        facts = []
+        analyzer = _HalfDegreeAnalyzer(host, facts.append)
+        return [self._outcome(lambda: analyzer.certificate(ctx)), facts] + self._partners(host, ctx)
+
+    def test_matches_the_recorded_outcomes(self):
+        rng = random.Random(1014)
+        records = []
+        for host, base in _golden_corpus():
+            facts = []
+            record = [
+                self._outcome(lambda: analyze_half_degree(host, on_fact=facts.append)),
+                facts,
+                self._outcome(lambda: find_c5_witness(host)),
+                self._outcome(lambda: find_c5minus_witness(host)),
+            ]
+            k4 = find_embedding(host, K4)
+            for fact_id in range(1, 11) if k4 is not None else ():
+                r = check_fact(host, k4.map, fact_id)
+                c5 = None if r.c5_found is None else r.c5_found.map
+                record.append((fact_id, r.name, r.hypothesis_met, r.holds, r.counterexample, c5, r.detail))
+            if base is not None:
+                record += self._planted(host, base)
+            elif k4 is not None and host.n % 2 == 0 and host.n >= 6:
+                record += self._laid_out(host, k4.map, rng)
+            records.append(record)
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == self.SHA256
