@@ -38,7 +38,6 @@ EXIT_PRECONDITION = 2
 EXIT_CONTRADICTION = 3
 
 PATTERN_CHOICES = tuple(CATALOG)
-WITNESS_EXTRACTORS = {"c5": find_c5_witness, "c5minus": find_c5minus_witness}
 
 
 def _load(path: str) -> TripleSystem:
@@ -103,7 +102,7 @@ def cmd_free(args) -> int:
 
 def cmd_witness(args) -> int:
     host = _load(args.input)
-    emb = WITNESS_EXTRACTORS[args.pattern](host)
+    emb = find_c5_witness(host) if args.pattern == "c5" else find_c5minus_witness(host)
     sys.stdout.write(dump_json(embedding_to_json(emb)))
     return EXIT_OK
 
@@ -192,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="extract a forbidden configuration")
     p.add_argument("input", help="host file")
-    p.add_argument("--pattern", required=True, choices=tuple(WITNESS_EXTRACTORS))
+    p.add_argument("--pattern", required=True, choices=("c5", "c5minus"))
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("analyze", help="boundary analysis at co-degree n/2")

@@ -296,16 +296,25 @@ def _run_branch(args):
     return edges, dec.nodes
 
 
-def _check_exact_input(n: int, pattern: Pattern) -> None:
-    """Reject what a branch worker cannot run: n outside EXACT_MIN_N..EXACT_MAX_N,
-    or a pattern other than the catalog's pattern of its name, since a worker
-    gets the name alone and looks the pattern up in the catalog."""
+def _catalog_pattern(pattern: Pattern | str, task: str) -> Pattern:
+    """The catalog pattern that ``pattern`` names (KeyError if none) or is; any
+    other Pattern raises PreconditionViolated naming ``task``, since the seed
+    construction, the closed forms and a branch worker know it by name alone."""
+    if isinstance(pattern, str):
+        return pattern_by_name(pattern)
+    if CATALOG.get(pattern.name) != pattern:
+        raise PreconditionViolated(f"{task} takes catalog patterns only, got {pattern}")
+    return pattern
+
+
+def _check_exact_input(n: int, pattern: Pattern | str) -> Pattern:
+    """The catalog pattern to search, after rejecting what a branch worker cannot
+    run: n outside EXACT_MIN_N..EXACT_MAX_N, or a pattern not in the catalog."""
     if not EXACT_MIN_N <= n <= EXACT_MAX_N:
         raise PreconditionViolated(
             f"exact search supports {EXACT_MIN_N} <= n <= {EXACT_MAX_N}, got n={n}"
         )
-    if CATALOG.get(pattern.name) != pattern:
-        raise PreconditionViolated(f"exact search takes catalog patterns only, got {pattern}")
+    return _catalog_pattern(pattern, "exact search")
 
 
 def decide_exists(n: int, pattern: Pattern, k: int, pool=None):
@@ -318,7 +327,7 @@ def decide_exists(n: int, pattern: Pattern, k: int, pool=None):
     only the pattern's name, so PreconditionViolated is raised unless
     ``pattern`` is the catalog's pattern of that name and n is in range.
     """
-    _check_exact_input(n, pattern)
+    pattern = _check_exact_input(n, pattern)
     branch_args = [(n, pattern.name, k, mask) for mask in _TOP_MASKS[min(n, 5)]]
     nodes = 0
     for edges, branch_nodes in (map if pool is None else pool.map)(_run_branch, branch_args):
@@ -350,9 +359,7 @@ def exact_copos_ex(
     the value below it by exhausted search.  Capped at n <= EXACT_MAX_N.
     ``on_progress`` receives one status line per decision call.
     """
-    if isinstance(pattern, str):
-        pattern = pattern_by_name(pattern)
-    _check_exact_input(n, pattern)
+    pattern = _check_exact_input(n, pattern)
     extremal = _seed_construction(n, pattern)
     if not is_free(extremal, pattern):
         raise InternalContradiction(
@@ -411,8 +418,7 @@ def local_search_lower_bound(
     seed: one ``randrange`` per step.  A result exceeding the known
     closed-form value would falsify it and raises InternalContradiction.
     """
-    if isinstance(pattern, str):
-        pattern = pattern_by_name(pattern)
+    pattern = _catalog_pattern(pattern, "local search")
     if not LOCAL_MIN_N <= n <= LOCAL_MAX_N:
         raise PreconditionViolated(
             f"local search supports {LOCAL_MIN_N} <= n <= {LOCAL_MAX_N}, got n={n}"

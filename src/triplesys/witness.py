@@ -196,10 +196,11 @@ def _k4_matrix(host: TripleSystem, base):
     return nm if k4 & 1 else None
 
 
-def _base_mask(base) -> int:
-    m = 0
+def _outside(n: int, base) -> int:
+    """Mask of the vertices 0..n-1 that are not in ``base``."""
+    m = (1 << n) - 1
     for v in base:
-        m |= 1 << v
+        m &= ~(1 << v)
     return m
 
 
@@ -216,6 +217,17 @@ def _c5_from_quad(base, nm, v5) -> tuple[int, int, int, int, int] | None:
                     px = a + b - x
                     py = c + d - y
                     return (base[px], base[x], v5, base[y], base[py])
+    return None
+
+
+def _first_quad_c5(n: int, base, nm) -> tuple[int, int, int, int, int] | None:
+    """The first _c5_from_quad map over the vertices outside a K4 base, by
+    increasing vertex, or None.  On a K4 base every such map is a tight
+    5-cycle: two of its edges are base triples, the other three hold v5."""
+    for v5 in mask_vertices(_outside(n, base)):
+        m5 = _c5_from_quad(base, nm, v5)
+        if m5 is not None:
+            return m5
     return None
 
 
@@ -268,11 +280,9 @@ def find_c5minus_witness(host: TripleSystem) -> Embedding:
     neighborhoods M_{i,j} of the resulting K4 and dispatch on whether the
     two hosting index pairs overlap.
     """
-    n = host.n
     delta = _codegree_above(host, 3)
     base = _k4minus_base(host)
-    bmask = _base_mask(base)
-    outside = ((1 << n) - 1) & ~bmask
+    outside = _outside(host.n, base)
     if not host.has_edge(base[1], base[2], base[3]):
         # Case 1: pivot v2 = base[1]; the three sets through it.
         sets = (
@@ -295,11 +305,11 @@ def find_c5minus_witness(host: TripleSystem) -> Embedding:
             "no fifth vertex in two of the pivot neighborhoods",
             {"base": base, "sets": [mask_vertices(s) for s in sets], "delta": delta},
         )
-    # Case 2: the anchor is a full K4; use the reduced neighborhoods.
+    # Case 2: the anchor is a full K4; use the reduced neighborhoods (the
+    # base-pair neighborhoods less the base), which agree with nm outside it.
     nm = _neighbor_matrix(host, base)
-    red = {p: nm[p[0]][p[1]] & ~bmask for p in IDX_PAIRS}
     for v5 in mask_vertices(outside):
-        containing = [p for p in IDX_PAIRS if red[p] >> v5 & 1]
+        containing = [(i, j) for i, j in IDX_PAIRS if nm[i][j] >> v5 & 1]
         if len(containing) < 2:
             continue
         p1, p2 = containing[0], containing[1]
@@ -313,9 +323,10 @@ def find_c5minus_witness(host: TripleSystem) -> Embedding:
         else:
             m = (v5, base[p1[0]], base[p1[1]], base[p2[0]], base[p2[1]])
         return _validated(host, C5MINUS, m)
+    reduced = {(i, j): mask_vertices(nm[i][j] & outside) for i, j in IDX_PAIRS}
     raise InternalContradiction(
         "no fifth vertex in two of the reduced neighborhoods",
-        {"base": base, "reduced": {p: mask_vertices(v) for p, v in red.items()}, "delta": delta},
+        {"base": base, "reduced": reduced, "delta": delta},
     )
 
 
@@ -338,8 +349,7 @@ def _extract_c5_k4free(host: TripleSystem) -> tuple[int, ...]:
     """
     base = _k4minus_base(host)
     nm = _neighbor_matrix(host, base)
-    outside = ((1 << host.n) - 1) & ~_base_mask(base)
-    for v5 in mask_vertices(outside):
+    for v5 in mask_vertices(_outside(host.n, base)):
         count = sum(nm[i][j] >> v5 & 1 for i, j in IDX_PAIRS)
         if count < 4:
             continue
@@ -380,15 +390,13 @@ def find_c5_witness(host: TripleSystem) -> Embedding:
     neighborhoods of a K4 and closes the cycle through the pairing that
     contains it twice.
     """
-    n = host.n
     delta = _codegree_above(host, 2)
     k4 = find_embedding(host, K4)
     if k4 is None:
         return _validated(host, C5, _extract_c5_k4free(host))
     base = k4.map
     nm = _neighbor_matrix(host, base)
-    outside = ((1 << n) - 1) & ~_base_mask(base)
-    for v5 in mask_vertices(outside):
+    for v5 in mask_vertices(_outside(host.n, base)):
         if sum(nm[i][j] >> v5 & 1 for i, j in IDX_PAIRS) < 4:
             continue
         m = _c5_from_quad(base, nm, v5)
@@ -453,11 +461,9 @@ class _HalfDegreeAnalyzer:
         nm = _k4_matrix(self.host, base)
         if nm is None:
             raise InternalContradiction("base is not a K4", {"base": tuple(base)})
-        outside = self.full & ~_base_mask(base)
-        for v in mask_vertices(outside):
-            m5 = _c5_from_quad(base, nm, v)
-            if m5 is not None:
-                raise _FoundC5(m5)
+        m5 = _first_quad_c5(n, base, nm)
+        if m5 is not None:
+            raise _FoundC5(m5)
         for i, j in IDX_PAIRS:
             if nm[i][j].bit_count() * 2 != n:
                 raise InternalContradiction(
@@ -599,7 +605,11 @@ class _HalfDegreeAnalyzer:
         )
 
     def k4_partner(self, ctx: _Ctx, a: int, istar: int, j2: int) -> int:
-        """Least b in the nonempty B-cell forming a K4 with a and two base vertices."""
+        """Least b in the nonempty B-cell forming a K4 with a and two base vertices.
+
+        Failing that (fact 8), re-derives the least w of N(a, v_j2) in another
+        A-cell, by the pivot cell's empty pairs or a foreign cell's equalities,
+        then N(a, v_istar) in the istar-th A-cell: a C5 or a contradiction."""
         host = self.host
         vi, vj = ctx.base[istar], ctx.base[j2]
         cand = (
@@ -615,25 +625,17 @@ class _HalfDegreeAnalyzer:
         self.fact(8)
         nav_j = host.neighborhood_mask(a, vj)
         for mm in range(4):
-            if mm == istar:
-                continue
             hits = nav_j & ctx.amask[mm]
-            if not hits:
+            if mm == istar or not hits:
                 continue
+            w = (hits & -hits).bit_length() - 1
             if mm == j2:
-                for w in mask_vertices(hits):
-                    self.ensure_pair_empty(ctx, w, vj, j2)
-                    raise InternalContradiction(
-                        "apex neighborhood meets the pivot A-cell with empty pair verified",
-                        {"a": a, "w": w, "base": ctx.base},
-                    )
+                self.ensure_pair_empty(ctx, w, vj, j2)
+                message = "apex neighborhood meets the pivot A-cell with empty pair verified"
             else:
-                for w in mask_vertices(hits):
-                    self.aaa_equal(ctx, w, mm, vj, j2)
-                    raise InternalContradiction(
-                        "apex neighborhood meets a foreign A-cell with verified equalities",
-                        {"a": a, "w": w, "base": ctx.base},
-                    )
+                self.aaa_equal(ctx, w, mm, vj, j2)
+                message = "apex neighborhood meets a foreign A-cell with verified equalities"
+            raise InternalContradiction(message, {"a": a, "w": w, "base": ctx.base})
         nav_i = host.neighborhood_mask(a, vi)
         k2 = min(x for x in range(4) if x not in (istar, j2))
         for c in mask_vertices(nav_i & ctx.amask[istar]):
@@ -650,15 +652,19 @@ class _HalfDegreeAnalyzer:
             },
         )
 
-    def secondary_ctx(self, ctx: _Ctx, istar: int, j2: int, v5: int, v6: int) -> _Ctx:
-        """Analyzed context for the base (v_istar, v_j2, v5, v6) with nonempty apex B."""
+    def secondary_ctx(self, ctx: _Ctx, istar: int, j2: int, v5: int) -> _Ctx:
+        """Analyzed context for the base (v_istar, v_j2, v5, v6), v6 the K4 partner
+        of v5: its apex B-cell must be the only nonempty one (fact 9), so fact 7
+        applies.  Two nonempty B-cells go to the C5 hunt; an empty apex B-cell
+        alone is a contradiction."""
+        v6 = self.k4_partner(ctx, v5, istar, j2)
         s_base = (ctx.base[istar], ctx.base[j2], v5, v6)
         sctx = self.make_ctx(s_base)
         self.fact(9)
+        ne = sctx.nonempty
+        if len(ne) >= 2:
+            self.two_nonempty_hunt(sctx)
         if not sctx.bmask[0]:
-            ne = sctx.nonempty
-            if len(ne) >= 2:
-                self.two_nonempty_hunt(sctx)
             raise InternalContradiction(
                 "secondary base lost its apex B-cell",
                 {
@@ -669,8 +675,7 @@ class _HalfDegreeAnalyzer:
                     "n": self.n,
                 },
             )
-        if len(sctx.nonempty) > 1:
-            self.two_nonempty_hunt(sctx)
+        self.fact(7)
         return sctx
 
     def certificate(self, ctx: _Ctx) -> StructureCertificate:
@@ -757,9 +762,8 @@ class _HalfDegreeAnalyzer:
         f: dict[int, int] = {}
         for ci, cmask in enumerate(class_masks):
             v5 = (cmask & -cmask).bit_length() - 1
-            v6 = self.k4_partner(ctx, v5, istar, j2)
-            sctx = self.secondary_ctx(ctx, istar, j2, v5, v6)
-            self.fact(7)
+            sctx = self.secondary_ctx(ctx, istar, j2, v5)
+            v6 = sctx.base[3]
             a5s = sctx.amask[2]
             a6s = sctx.amask[3]
             if a5s & ~ctx.bmask[istar] or a6s & ~ctx.bmask[istar]:
@@ -810,9 +814,7 @@ class _HalfDegreeAnalyzer:
 
     def _transitivity(self, ctx: _Ctx, istar: int, j2: int, v5: int, v7: int, v8: int):
         """Transitivity failed literally: surface the C5 it implies; never returns."""
-        v6 = self.k4_partner(ctx, v5, istar, j2)
-        sctx = self.secondary_ctx(ctx, istar, j2, v5, v6)
-        self.fact(7)
+        sctx = self.secondary_ctx(ctx, istar, j2, v5)
         a5s = sctx.amask[2]
         if not (a5s >> v7 & 1 and a5s >> v8 & 1):
             raise InternalContradiction(
@@ -904,15 +906,8 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
     name = FACT_NAMES[fact_id]
 
     def quad_c5() -> Embedding | None:
-        for v in range(n):
-            if v in base:
-                continue
-            m5 = _c5_from_quad(base, nm, v)
-            if m5 is not None:
-                emb = Embedding(C5, host, m5)
-                if validate_embedding(emb):
-                    return emb
-        return None
+        m5 = _first_quad_c5(n, base, nm)
+        return None if m5 is None else _validated(host, C5, m5)
 
     if fact_id == 1:
         holds, cex = True, None

@@ -165,6 +165,20 @@ class TestWitness:
         code, _, err = run(capsys, "witness", str(path), "--pattern", "c5minus")
         assert code == 2
 
+    @pytest.mark.parametrize("pattern", ["c5", "c5minus"])
+    def test_calls_the_extractor_of_its_pattern(self, complete6, capsys, monkeypatch, pattern):
+        # the command reads the extractor off the cli module when it runs, so
+        # a wrapper patched there, as a tracer patches it, sees the call
+        calls = []
+        for name in ("find_c5_witness", "find_c5minus_witness"):
+            def recording(host, name=name, extract=getattr(cli, name)):
+                calls.append(name)
+                return extract(host)
+
+            monkeypatch.setattr(cli, name, recording)
+        code, _, _ = run(capsys, "witness", complete6, "--pattern", pattern)
+        assert code == 0 and calls == [f"find_{pattern}_witness"]
+
     def test_pattern_without_extractor_is_a_usage_error(self, complete6, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["witness", complete6, "--pattern", "k4"])

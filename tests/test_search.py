@@ -310,6 +310,18 @@ class TestLocalSearch:
         assert min_positive_codegree(host) == 1
         assert _sha256(host.edges) == edges_sha
 
+    @pytest.mark.parametrize(
+        "pattern",
+        [Pattern("c5", 4, ((0, 1, 2), (1, 2, 3))), Pattern("zz", 4, ((0, 1, 2), (1, 2, 3)))],
+        ids=["custom-c5", "non-catalog-name"],
+    )
+    def test_only_catalog_patterns_are_searched(self, pattern):
+        # the seed construction looks the pattern up by name, so the seed of
+        # either contains it, and the search used to report that at budget 0
+        # as InternalContradiction, the falsification detector
+        with pytest.raises(PreconditionViolated, match="local search takes catalog patterns only"):
+            local_search_lower_bound(8, pattern, 0, 1)
+
     def test_range_enforced(self):
         with pytest.raises(PreconditionViolated):
             local_search_lower_bound(7, "c5", 10, seed=0)
