@@ -564,7 +564,7 @@ def _golden_corpus():
 
 
 class TestWitnessGolden:
-    """Every boundary-analysis outcome on a seeded corpus, pinned by one hash.
+    """Every boundary-analysis outcome on a seeded corpus, pinned by two hashes.
 
     Per host it records analyze_half_degree's result with every fact it
     reports, both extractors' results, and check_fact's ten reports on the
@@ -573,11 +573,16 @@ class TestWitnessGolden:
     of each nonempty B-cell; on any other host at an even n >= 6 it does the
     same for a random layout of cells around the first K4.  A result is its
     result_to_json, a partner its vertex, a surfaced cycle its map, and an
-    error its class, message and sorted state.  Recorded before the steps
-    that the analyzer wrote twice were written once.
+    error its class, message and sorted state.
+
+    SHA256 pins everything but the direct k4_partner calls, PARTNERS_SHA256
+    those calls alone.  The analysis calls k4_partner only after its fact-6
+    and exclusion sweeps; a direct call skips them, so its outcome on a state
+    those sweeps refute is not part of the analysis.
     """
 
-    SHA256 = "1e2846b924b995e92e08ce46a3f93a53acbdb6a322209aee50e2929ff5974da1"
+    SHA256 = "1dc420252c6f48bc422b5415b5dde10c46c367c3841e671368030dd7fc7c6a25"
+    PARTNERS_SHA256 = "7c5c4af9a64abfa7a1b4b6e7b786491901778c5a0d8831c0644c161563b40e61"
 
     @staticmethod
     def _outcome(run):
@@ -612,8 +617,8 @@ class TestWitnessGolden:
         try:
             ctx = _HalfDegreeAnalyzer(host).make_ctx(base)
         except (_FoundC5, InternalContradiction):
-            return record
-        return record + self._partners(host, ctx)
+            return record, []
+        return record, self._partners(host, ctx)
 
     def _laid_out(self, host, base, rng):
         """The certificate step and k4_partner on a random layout of balanced
@@ -635,11 +640,11 @@ class TestWitnessGolden:
         ctx = _Ctx(base, _neighbor_matrix(host, base), amask, bmask, q)
         facts = []
         analyzer = _HalfDegreeAnalyzer(host, facts.append)
-        return [self._outcome(lambda: analyzer.certificate(ctx)), facts] + self._partners(host, ctx)
+        return [self._outcome(lambda: analyzer.certificate(ctx)), facts], self._partners(host, ctx)
 
     def test_matches_the_recorded_outcomes(self):
         rng = random.Random(1014)
-        records = []
+        records, partners = [], []
         for host, base in _golden_corpus():
             facts = []
             record = [
@@ -653,9 +658,12 @@ class TestWitnessGolden:
                 r = check_fact(host, k4.map, fact_id)
                 c5 = None if r.c5_found is None else r.c5_found.map
                 record.append((fact_id, r.name, r.hypothesis_met, r.holds, r.counterexample, c5, r.detail))
+            extra, host_partners = [], []
             if base is not None:
-                record += self._planted(host, base)
+                extra, host_partners = self._planted(host, base)
             elif k4 is not None and host.n % 2 == 0 and host.n >= 6:
-                record += self._laid_out(host, k4.map, rng)
-            records.append(record)
+                extra, host_partners = self._laid_out(host, k4.map, rng)
+            records.append(record + extra)
+            partners.append(host_partners)
         assert hashlib.sha256(repr(records).encode()).hexdigest() == self.SHA256
+        assert hashlib.sha256(repr(partners).encode()).hexdigest() == self.PARTNERS_SHA256
