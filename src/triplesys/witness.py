@@ -11,9 +11,9 @@ arithmetic forces n to be divisible by 4.
 
 Every existential scan picks the least-index qualifying vertex and anchor
 searches use the lexicographic embedding order, so certificates are
-reproducible run to run.  InternalContradiction marks states the underlying
-mathematics proves unreachable; it firing on a valid input would falsify
-the theory, so it carries the complete local state.
+reproducible run to run.  InternalContradiction marks states that only the
+underlying mathematics proves unreachable; it firing on a valid input would
+falsify the theory, so it carries the complete local state.
 """
 
 from __future__ import annotations
@@ -388,7 +388,8 @@ def find_c5_witness(host: TripleSystem) -> Embedding:
     If the host is K4-free, runs the apex-count branch analysis on a 3-of-4
     anchor; otherwise scans for a fifth vertex in four of the six pair
     neighborhoods of a K4 and closes the cycle through the pairing that
-    contains it twice.
+    contains it twice.  No K4-free host passes the gate at n <= 8: co+ex(n, K4)
+    is 2, 3 and 3 at n = 6, 7 and 8, so the K4-free branch needs n >= 9.
     """
     delta = _codegree_above(host, 2)
     k4 = find_embedding(host, K4)
@@ -437,7 +438,9 @@ class _HalfDegreeAnalyzer:
 
     Every public step either completes its literal verification, raises
     _FoundC5 with an explicit tight 5-cycle, or raises InternalContradiction
-    from a state the theory proves unreachable.
+    from a state that only the theory rules out.  No raise guards a state that
+    the checks just made exclude, or one after a call that always raises, save
+    make_ctx's fact-4 check, which analyzed_nm's exact sizes already force.
     """
 
     def __init__(self, host: TripleSystem, on_fact: Callable[[str], None] | None = None):
@@ -484,20 +487,6 @@ class _HalfDegreeAnalyzer:
         base = tuple(base)
         nm = self.analyzed_nm(base)
         amask, bmask = _ab_cells(nm)
-        cells = amask + bmask
-        union = 0
-        for c in cells:
-            union |= c
-        if sum(c.bit_count() for c in cells) != self.n or union != self.full:
-            raise InternalContradiction(
-                "A/B cells do not partition the vertex set",
-                {"base": base, "cells": [mask_vertices(c) for c in cells]},
-            )
-        for i in range(4):
-            if not amask[i] >> base[i] & 1:
-                raise InternalContradiction(
-                    "base vertex missing from its own A-cell", {"base": base, "i": i}
-                )
         diffs = {amask[i].bit_count() - bmask[i].bit_count() for i in range(4)}
         if len(diffs) != 1:
             raise InternalContradiction(
@@ -607,9 +596,11 @@ class _HalfDegreeAnalyzer:
     def k4_partner(self, ctx: _Ctx, a: int, istar: int, j2: int) -> int:
         """Least b in the nonempty B-cell forming a K4 with a and two base vertices.
 
-        Failing that (fact 8), re-derives the least w of N(a, v_j2) in another
-        A-cell, by the pivot cell's empty pairs or a foreign cell's equalities,
-        then N(a, v_istar) in the istar-th A-cell: a C5 or a contradiction."""
+        Failing that (fact 8), re-derives N(a, v_istar) in the istar-th A-cell:
+        a C5 or a contradiction.  Requires certificate's exclusion and fact-6
+        sweeps to have run on ctx, as secondary_ctx, the only caller, ensures:
+        they refute a hit of N(a, v_j2) in a foreign A-cell and in the pivot's
+        (there a would lie in N(w, v_j2), a pair inside one A-cell)."""
         host = self.host
         vi, vj = ctx.base[istar], ctx.base[j2]
         cand = (
@@ -623,19 +614,6 @@ class _HalfDegreeAnalyzer:
         # The counting argument says a partner must exist; re-derive it, which
         # either surfaces a C5 or proves the state impossible.
         self.fact(8)
-        nav_j = host.neighborhood_mask(a, vj)
-        for mm in range(4):
-            hits = nav_j & ctx.amask[mm]
-            if mm == istar or not hits:
-                continue
-            w = (hits & -hits).bit_length() - 1
-            if mm == j2:
-                self.ensure_pair_empty(ctx, w, vj, j2)
-                message = "apex neighborhood meets the pivot A-cell with empty pair verified"
-            else:
-                self.aaa_equal(ctx, w, mm, vj, j2)
-                message = "apex neighborhood meets a foreign A-cell with verified equalities"
-            raise InternalContradiction(message, {"a": a, "w": w, "base": ctx.base})
         nav_i = host.neighborhood_mask(a, vi)
         k2 = min(x for x in range(4) if x not in (istar, j2))
         for c in mask_vertices(nav_i & ctx.amask[istar]):
@@ -680,29 +658,13 @@ class _HalfDegreeAnalyzer:
 
     def certificate(self, ctx: _Ctx) -> StructureCertificate:
         """Build the structure certificate for a base with at most one nonempty B-cell."""
-        host, n = self.host, self.n
+        host = self.host
         nonempty = ctx.nonempty
         if not nonempty:
-            q = ctx.amask[0].bit_count()
-            if any(m.bit_count() != q for m in ctx.amask) or 4 * q != n:
-                raise InternalContradiction(
-                    "empty B-cells but unbalanced A-cells",
-                    {"base": ctx.base, "A_sizes": [m.bit_count() for m in ctx.amask]},
-                )
             self.fact(6)
-            return self._emit(ctx, q, 0, (), ())
+            return self._emit(ctx, ctx.qdiff, 0, (), ())
         istar = nonempty[0]
         r0 = ctx.bmask[istar].bit_count()
-        q = ctx.qdiff
-        if (
-            any(ctx.amask[j].bit_count() != q for j in range(4) if j != istar)
-            or ctx.amask[istar].bit_count() != q + r0
-            or n != 4 * q + 2 * r0
-        ):
-            raise InternalContradiction(
-                "size arithmetic broken for the unique nonempty B-cell",
-                {"base": ctx.base, "q": q, "r0": r0, "n": n},
-            )
         # Cross-pair neighborhood sweep
         self.fact(3)
         for i in range(4):
@@ -711,11 +673,8 @@ class _HalfDegreeAnalyzer:
                 for a in mask_vertices(ctx.amask[i]):
                     for b in mask_vertices(ctx.amask[j]):
                         if host.neighborhood_mask(a, b) != target:
+                            # raises: its last check is this inequality
                             self.aaa_equal(ctx, a, i, b, j)
-                            raise InternalContradiction(
-                                "cross-pair neighborhood differs but derivation verified",
-                                {"a": a, "b": b, "i": i, "j": j, "base": ctx.base},
-                            )
         # The other B-cells are empty, so only the A-cell hits can fire.
         self.exclusion_sweep(ctx, (istar,))
         # Empty pairs inside each balanced A-cell
@@ -748,16 +707,11 @@ class _HalfDegreeAnalyzer:
                     v5, v7, v8 = a, b, c
                 else:
                     v5, v7, v8 = b, a, c
-                self._transitivity(ctx, istar, j2, v5, v7, v8)
-                raise InternalContradiction(
-                    "empty-pair relation not transitive and no C5 surfaced",
-                    {"triple": (v5, v7, v8), "base": ctx.base},
-                )
+                self._transitivity(ctx, istar, j2, v5, v7, v8)  # never returns
         class_masks: list[int] = []
         for a in bbits:
             if sim[a] not in class_masks:
                 class_masks.append(sim[a])
-        class_masks.sort(key=lambda m: m & -m)
         # Involutive pairing of classes through K4 partners
         f: dict[int, int] = {}
         for ci, cmask in enumerate(class_masks):
@@ -772,12 +726,8 @@ class _HalfDegreeAnalyzer:
                     {"secondary_base": sctx.base, "primary_base": ctx.base},
                 )
             for a in mask_vertices(a5s & ~cmask):
+                # raises: a is a B-cell member outside sim[v5], so N(a, v5) is nonempty
                 self.ensure_pair_empty(sctx, a, v5, 2)
-                raise InternalContradiction(
-                    "secondary A-cell member empty-paired with the class representative "
-                    "yet outside the class",
-                    {"a": a, "v5": v5, "secondary_base": sctx.base},
-                )
             if cmask != a5s:
                 raise InternalContradiction(
                     "class does not match the secondary A-cell",
@@ -785,12 +735,8 @@ class _HalfDegreeAnalyzer:
                 )
             fmask = sim[v6]
             for a in mask_vertices(a6s & ~fmask):
+                # raises: a is a B-cell member outside sim[v6], so N(a, v6) is nonempty
                 self.ensure_pair_empty(sctx, a, v6, 3)
-                raise InternalContradiction(
-                    "secondary A-cell member empty-paired with the partner "
-                    "yet outside its class",
-                    {"a": a, "v6": v6, "secondary_base": sctx.base},
-                )
             if fmask != a6s:
                 raise InternalContradiction(
                     "partner class does not match the secondary A-cell",
@@ -804,16 +750,13 @@ class _HalfDegreeAnalyzer:
                     {"pairing": f, "sizes": [m.bit_count() for m in class_masks]},
                 )
         pairing = tuple(sorted((min(ci, cj), max(ci, cj)) for ci, cj in f.items() if ci < cj))
-        if r0 % 2 or n % 4:
-            raise InternalContradiction(
-                "divisibility conclusion failed despite a verified pairing",
-                {"r0": r0, "n": n},
-            )
         classes = tuple(frozenset(mask_vertices(m)) for m in class_masks)
-        return self._emit(ctx, q, r0, classes, pairing)
+        return self._emit(ctx, ctx.qdiff, r0, classes, pairing)
 
     def _transitivity(self, ctx: _Ctx, istar: int, j2: int, v5: int, v7: int, v8: int):
-        """Transitivity failed literally: surface the C5 it implies; never returns."""
+        """Transitivity failed literally: surface the C5 it implies; never returns.
+        The case split that picks (v5, v7, v8) makes N(v7, v8) nonempty, so the
+        closing ensure_pair_empty raises."""
         sctx = self.secondary_ctx(ctx, istar, j2, v5)
         a5s = sctx.amask[2]
         if not (a5s >> v7 & 1 and a5s >> v8 & 1):
@@ -821,11 +764,7 @@ class _HalfDegreeAnalyzer:
                 "empty-paired vertices missing from the secondary A-cell",
                 {"v5": v5, "v7": v7, "v8": v8, "secondary_base": sctx.base},
             )
-        self.ensure_pair_empty(sctx, v7, v8, 2)
-        raise InternalContradiction(
-            "non-adjacent class members turned adjacent",
-            {"v7": v7, "v8": v8, "secondary_base": sctx.base},
-        )
+        self.ensure_pair_empty(sctx, v7, v8, 2)  # raises: N(v7, v8) is nonempty
 
     def _emit(self, ctx: _Ctx, q: int, r0: int, classes, pairing) -> StructureCertificate:
         cert = StructureCertificate(
@@ -853,8 +792,9 @@ def analyze_half_degree(
 
     Returns either a validated tight 5-cycle embedding or a structure
     certificate proving n is divisible by 4.  K4-free hosts are handled by
-    the apex-count branch extraction directly.  ``on_fact`` receives the
-    name of each structural fact as it is exercised.
+    the apex-count branch extraction directly; by the exact values of
+    co+ex(n, K4), none reaches that branch at n <= 8.  ``on_fact`` receives
+    the name of each structural fact as it is exercised.
     """
     n = host.n
     if n % 2:

@@ -404,6 +404,17 @@ class TestABCells:
         cells = a_sets + b_sets
         assert sum(len(c) for c in cells) == host.n
         assert frozenset().union(*cells) == set(range(host.n))
+        # The identities that let the analysis skip re-checking them: a K4
+        # base lies in its own A-cells, and with at most one nonempty B-cell
+        # the sizes follow from the partition and the common difference.
+        assert all(base[i] in a_sets[i] for i in range(4))
+        nonempty = [i for i in range(4) if b_sets[i]]
+        if len(nonempty) <= 1:
+            istar = nonempty[0] if nonempty else 0
+            r0 = len(b_sets[istar])
+            for j in range(4):
+                assert len(a_sets[j]) == ctx.qdiff + (r0 if j == istar else 0)
+            assert host.n == 4 * ctx.qdiff + 2 * r0
 
 
 class TestQuadExtraction:
@@ -582,7 +593,7 @@ class TestWitnessGolden:
     """
 
     SHA256 = "1dc420252c6f48bc422b5415b5dde10c46c367c3841e671368030dd7fc7c6a25"
-    PARTNERS_SHA256 = "7c5c4af9a64abfa7a1b4b6e7b786491901778c5a0d8831c0644c161563b40e61"
+    PARTNERS_SHA256 = "5ee5fc654e7a23736060255c34bc2ea5ff8734d2026d33668624aac9a91e29d2"
 
     @staticmethod
     def _outcome(run):
