@@ -4,13 +4,14 @@ Containment is non-induced: a pattern occurs in a host when every pattern
 edge maps to a host edge; extra host edges among the image vertices are
 permitted.
 
-Every containment query runs through one backtracking core, search_maps,
-driven by the search plans a pattern compiles on first use (see
-CompiledPattern).  find_embedding uses the identity vertex order without
-symmetry breaking, so it returns the lexicographically least map.  The
-existence-only queries (is_free and embeds_through_edge) place the most
-constrained vertex first and break the pattern's automorphisms.
-embeds_through_edge takes a bare pair-mask table, so the exact and the
+Every query runs the search plans a pattern compiles on first use (see
+CompiledPattern).  find_embedding and is_free run theirs through one
+backtracking core, search_maps.  find_embedding uses the identity vertex
+order without symmetry breaking, so it returns the lexicographically least
+map.  The existence-only queries (is_free and embeds_through_edge) place the
+most constrained vertex first and break the pattern's automorphisms.
+embeds_through_edge runs its plans as one straight-line function generated
+at compile time, and takes a bare pair-mask table, so the exact and the
 local search run the one through-edge check on the tables they change.
 """
 
@@ -48,6 +49,10 @@ class Pattern:
     def compiled(self) -> CompiledPattern:
         """The pattern's search plans, computed on first use and kept."""
         return _compile(self)
+
+    def __reduce__(self):
+        # the compiled plans hold a generated function, which cannot be pickled
+        return Pattern, (self.name, self.vertex_count, self.edges)
 
 
 # Closing pairs for any search order, as positions in that order.  The
@@ -123,7 +128,9 @@ class SearchPlan(namedtuple("SearchPlan", "order closing above")):
     __slots__ = ()
 
 
-class CompiledPattern(namedtuple("CompiledPattern", "automorphisms lex exists through")):
+class CompiledPattern(
+    namedtuple("CompiledPattern", "automorphisms lex exists through through_check")
+):
     """Everything the searches need from a pattern, computed once.
 
     ``automorphisms`` is Aut(F) as vertex maps.  ``lex`` searches vertices
@@ -131,7 +138,8 @@ class CompiledPattern(namedtuple("CompiledPattern", "automorphisms lex exists th
     existence-only plan.  ``through`` holds one plan per orbit of Aut(F) on
     the ordered pattern edges (a, b, c); each places a, b, c first, so
     pinning them to an ordered host edge covers every way a copy can use
-    that edge.
+    that edge.  ``through_check(nbr, edge)`` runs those plans, in order, as
+    one generated straight-line function (see _through_source).
     """
 
     __slots__ = ()
@@ -154,12 +162,58 @@ def _compile(pattern: Pattern) -> CompiledPattern:
         if t not in seen:
             reps.append(t)
             seen.update(tuple(g[v] for v in t) for g in group)
+    through = tuple(_plan(pattern, incident, group, r) for r in reps)
+    namespace: dict = {}
+    exec(compile(_through_source(through), f"<through_check {pattern.name}>", "exec"), namespace)
     return CompiledPattern(
         automorphisms=tuple(group),
         lex=_plan(pattern, incident, (), tuple(range(p))),
         exists=_plan(pattern, incident, group, ()),
-        through=tuple(_plan(pattern, incident, group, r) for r in reps),
+        through=through,
+        through_check=namespace["through_check"],
     )
+
+
+def _through_source(plans) -> str:
+    """Source of one function that runs the pinned through plans in turn.
+
+    It does what search_maps(nbr, plan, edge) does for each plan, unrolled:
+    the pins' closing pairs become one test (shared by consecutive plans
+    with the same test), every later position but the last a loop over its
+    candidates in ascending host order, and the last position one mask test.
+    """
+    lines = [
+        "def through_check(nbr, edge):",
+        " x0, x1, x2 = edge",
+        " u2 = 1 << x0 | 1 << x1 | 1 << x2",
+        " full = (1 << len(nbr)) - 1",
+    ]
+    pinned = None
+    for _, closing, above in plans:
+        test = " and ".join(f"nbr[x{a}][x{b}] >> x{i} & 1" for i in range(3) for a, b in closing[i])
+        if test != pinned:
+            pinned = test
+            lines.append(f" if {test}:")
+        pad = "  "
+        if len(closing) == 3:
+            lines.append(f"{pad}return True")
+        for i in range(3, len(closing)):
+            terms = [f"nbr[x{a}][x{b}]" for a, b in closing[i]] or ["full"]
+            mask = " & ".join(terms + [f"-(2 << x{a})" for a in above[i]] + [f"~u{i - 1}"])
+            if i == len(closing) - 1:
+                lines.append(f"{pad}if {mask}: return True")
+                continue
+            lines += [
+                f"{pad}c{i} = {mask}",
+                f"{pad}while c{i}:",
+                f"{pad} b{i} = c{i} & -c{i}",
+                f"{pad} c{i} ^= b{i}",
+                f"{pad} x{i} = b{i}.bit_length() - 1",
+                f"{pad} u{i} = u{i - 1} | b{i}",
+            ]
+            pad += " "
+    lines.append(" return False")
+    return "\n".join(lines) + "\n"
 
 
 def _plan(pattern: Pattern, incident, group, start: tuple[int, ...]) -> SearchPlan:
@@ -273,12 +327,10 @@ def embeds_through_edge(nbr, pattern: Pattern, edge) -> bool:
     The incremental check behind single-edge moves: after toggling one edge
     on, any new pattern copy must pass through it.  Runs one pinned search
     per orbit of ordered pattern edges, which covers every (pattern edge,
-    vertex permutation) pin.
+    vertex permutation) pin, in the function CompiledPattern.through_check
+    generated from those plans; search_maps is not called.
     """
-    for plan in pattern.compiled.through:
-        if search_maps(nbr, plan, edge) is not None:
-            return True
-    return False
+    return pattern.compiled.through_check(nbr, edge)
 
 
 def is_free(host: TripleSystem, pattern: Pattern) -> bool:

@@ -40,9 +40,11 @@ one exact run share, or runs them in process.
 
 Both searches change their host one triple at a time with core.flip and
 run patterns.embeds_through_edge on the pair masks, so no move rebuilds a
-host.  The edge phase flips plain tables of open and chosen triangles; the
-local search keeps its host in one core.HostState, whose co-degree
-histogram gives the score.
+host.  That check runs a function generated when the pattern is compiled,
+which exact_copos_ex does (is_free on the seed) before it opens the process
+pool, so the workers inherit it.  The edge phase flips plain tables of open
+and chosen triangles; the local search keeps its host in one
+core.HostState, whose co-degree histogram gives the score.
 """
 
 from __future__ import annotations

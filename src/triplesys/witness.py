@@ -439,8 +439,7 @@ class _HalfDegreeAnalyzer:
     Every public step either completes its literal verification, raises
     _FoundC5 with an explicit tight 5-cycle, or raises InternalContradiction
     from a state that only the theory rules out.  No raise guards a state that
-    the checks just made exclude, or one after a call that always raises, save
-    make_ctx's fact-4 check, which analyzed_nm's exact sizes already force.
+    the checks just made exclude, or one after a call that always raises.
     """
 
     def __init__(self, host: TripleSystem, on_fact: Callable[[str], None] | None = None):
@@ -487,14 +486,10 @@ class _HalfDegreeAnalyzer:
         base = tuple(base)
         nm = self.analyzed_nm(base)
         amask, bmask = _ab_cells(nm)
-        diffs = {amask[i].bit_count() - bmask[i].bit_count() for i in range(4)}
-        if len(diffs) != 1:
-            raise InternalContradiction(
-                "A/B size differences disagree across base positions",
-                {"base": base, "diffs": sorted(diffs)},
-            )
+        # N(v_i, v_j) is the union of A_k, A_l, B_i and B_j, so the exact
+        # sizes analyzed_nm verified give every position the same difference
         self.fact(4)
-        return _Ctx(base, nm, amask, bmask, diffs.pop())
+        return _Ctx(base, nm, amask, bmask, amask[0].bit_count() - bmask[0].bit_count())
 
     def aaa_equal(self, ctx: _Ctx, a: int, i: int, b: int, j: int) -> None:
         """Verify N(a,b) == N(vi,vj) for a in the i-th and b in the j-th A-cell.

@@ -8,6 +8,7 @@ import re
 
 from triplesys import ParseError, TripleSystem, complete_triple_system
 from triplesys.core import MAX_VERTICES, HostState
+from triplesys.patterns import search_maps
 
 
 def random_host(n: int, rng: random.Random, density: float = 0.5) -> TripleSystem:
@@ -47,6 +48,13 @@ def scan_min_positive_codegree(host: TripleSystem) -> int | None:
             if count and (best is None or count < best):
                 best = count
     return best
+
+
+def interpreted_through_edge(nbr, pattern, edge) -> bool:
+    """The through-edge check as it was before its plans were generated into
+    one function: the backtracking interpreter, once per through plan.
+    Frozen here as the oracle for ``patterns.embeds_through_edge``."""
+    return any(search_maps(nbr, plan, edge) is not None for plan in pattern.compiled.through)
 
 
 _EDGE_LINE = re.compile(r"^(\d+) (\d+) (\d+)$")

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -24,7 +25,9 @@ from triplesys import (
     validate_embedding,
 )
 
-from conftest import random_host
+from triplesys.core import flip
+
+from conftest import interpreted_through_edge, random_host
 
 
 class TestCatalog:
@@ -196,6 +199,46 @@ class TestCompiledSearch:
             for pattern in CATALOG.values():
                 through = embeds_through_edge(host.pair_masks, pattern, t)
                 assert through == _pin_enumeration(host, pattern, t)
+
+    # A pattern that is only its pinned edge, and one whose through plans loop
+    # twice, over positions no pair closes, under symmetry bounds and with
+    # a closing pair of two unpinned positions.
+    CUSTOM = (
+        Pattern("edge", 3, ((0, 1, 2),)),
+        Pattern("chain", 6, ((0, 1, 2), (2, 3, 4), (3, 4, 5))),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(5, 64),
+        st.integers(3, 9),
+        st.floats(0.2, 0.9),
+        st.randoms(use_true_random=False),
+    )
+    def test_generated_through_check_matches_interpreter(self, n, k, density, rng):
+        # Dense triples among k vertices that always include n - 1, so copies
+        # through a pin are common, plus n triples scattered over the host.
+        core = rng.sample(range(n - 1), min(k, n) - 1) + [n - 1]
+        nbr = [[0] * n for _ in range(n)]
+        edges = [t for t in itertools.combinations(sorted(core), 3) if rng.random() < density]
+        edges += [tuple(sorted(rng.sample(range(n), 3))) for _ in range(n)]
+        edges = sorted(set(edges))
+        for t in edges:
+            flip(nbr, t)
+        pins = [list(t) for t in rng.sample(edges, min(4, len(edges)))]
+        pins += [rng.sample(core, 3) for _ in range(2)] + [rng.sample(range(n), 3)]
+        for t in pins:
+            rng.shuffle(t)
+            for pattern in (*CATALOG.values(), *self.CUSTOM):
+                assert embeds_through_edge(nbr, pattern, t) == interpreted_through_edge(
+                    nbr, pattern, t
+                )
+
+    def test_compiled_patterns_pickle(self):
+        for pattern in CATALOG.values():
+            assert pattern.compiled.through_check
+            clone = pickle.loads(pickle.dumps(pattern))
+            assert clone == pattern and clone.compiled.through == pattern.compiled.through
 
     # |Aut(F)| and the number of orbits of Aut(F) on ordered pattern edges.
     GROUPS = {"k4minus": (6, 3), "k4": (24, 1), "c5minus": (2, 12), "c5": (10, 3), "f32": (12, 4)}
