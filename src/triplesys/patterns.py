@@ -5,14 +5,13 @@ edge maps to a host edge; extra host edges among the image vertices are
 permitted.
 
 Every query runs the search plans a pattern compiles on first use (see
-CompiledPattern).  find_embedding and is_free run theirs through one
-backtracking core, search_maps.  find_embedding uses the identity vertex
-order without symmetry breaking, so it returns the lexicographically least
-map.  The existence-only queries (is_free and embeds_through_edge) place the
-most constrained vertex first and break the pattern's automorphisms.
-embeds_through_edge runs its plans as one straight-line function generated
-at compile time, and takes a bare pair-mask table, so the exact and the
-local search run the one through-edge check on the tables they change.
+CompiledPattern), each as straight-line code generated from its plans at
+compile time.  find_embedding uses the identity vertex order without
+symmetry breaking, so it returns the lexicographically least map.  The
+existence-only queries (is_free and embeds_through_edge) place the most
+constrained vertex first and break the pattern's automorphisms.
+embeds_through_edge takes a bare pair-mask table, so the exact and the local
+search run the one through-edge check on the tables they change.
 """
 
 from __future__ import annotations
@@ -135,11 +134,12 @@ class CompiledPattern(
 
     ``automorphisms`` is Aut(F) as vertex maps.  ``lex`` searches vertices
     in index order without symmetry breaking; ``exists`` is the
-    existence-only plan.  ``through`` holds one plan per orbit of Aut(F) on
-    the ordered pattern edges (a, b, c); each places a, b, c first, so
-    pinning them to an ordered host edge covers every way a copy can use
-    that edge.  ``through_check(nbr, edge)`` runs those plans, in order, as
-    one generated straight-line function (see _through_source).
+    existence-only plan; search_maps runs the function generated from
+    either.  ``through`` holds one plan per orbit of Aut(F) on the ordered
+    pattern edges (a, b, c); each places a, b, c first, so pinning them to
+    an ordered host edge covers every way a copy can use that edge.
+    ``through_check(nbr, edge)`` runs those plans, in order, as one
+    generated function.  _search_source writes all three functions.
     """
 
     __slots__ = ()
@@ -163,56 +163,71 @@ def _compile(pattern: Pattern) -> CompiledPattern:
             reps.append(t)
             seen.update(tuple(g[v] for v in t) for g in group)
     through = tuple(_plan(pattern, incident, group, r) for r in reps)
-    namespace: dict = {}
-    exec(compile(_through_source(through), f"<through_check {pattern.name}>", "exec"), namespace)
+    lex = _plan(pattern, incident, (), tuple(range(p)))
+    exists = _plan(pattern, incident, group, ())
+    for plan in (lex, exists):
+        _SEARCHES[plan] = _generate(_search_source((plan,), 0), "search", pattern.name)
     return CompiledPattern(
         automorphisms=tuple(group),
-        lex=_plan(pattern, incident, (), tuple(range(p))),
-        exists=_plan(pattern, incident, group, ()),
+        lex=lex,
+        exists=exists,
         through=through,
-        through_check=namespace["through_check"],
+        through_check=_generate(_search_source(through, 3), "through_check", pattern.name),
     )
 
 
-def _through_source(plans) -> str:
-    """Source of one function that runs the pinned through plans in turn.
+def _generate(source: str, name: str, label: str):
+    namespace: dict = {}
+    exec(compile(source, f"<{name} {label}>", "exec"), namespace)
+    return namespace[name]
 
-    It does what search_maps(nbr, plan, edge) does for each plan, unrolled:
-    the pins' closing pairs become one test (shared by consecutive plans
-    with the same test), every later position but the last a loop over its
-    candidates in ascending host order, and the last position one mask test.
+
+def _search_source(plans, pins: int) -> str:
+    """Source of one function that runs the plans in turn, unrolled.
+
+    With ``pins`` = 3 it is ``through_check(nbr, edge)``, which pins each
+    plan's first three positions to ``edge`` and returns True or False: the
+    pins' closing pairs become one test (shared by consecutive plans with
+    the same test), and the last position one mask test.  With no pins it is
+    ``search(nbr)``, which returns the first map found, or None.  Every
+    other position is a loop over its candidates in ascending host order.
     """
-    lines = [
-        "def through_check(nbr, edge):",
-        " x0, x1, x2 = edge",
-        " u2 = 1 << x0 | 1 << x1 | 1 << x2",
-        " full = (1 << len(nbr)) - 1",
-    ]
-    pinned = None
-    for _, closing, above in plans:
-        test = " and ".join(f"nbr[x{a}][x{b}] >> x{i} & 1" for i in range(3) for a, b in closing[i])
+    if pins:
+        lines = [
+            "def through_check(nbr, edge):",
+            " " + ", ".join(f"x{i}" for i in range(pins)) + " = edge",
+            f" u{pins - 1} = " + " | ".join(f"1 << x{i}" for i in range(pins)),
+        ]
+    else:
+        lines = ["def search(nbr):"]
+    lines.append(" full = (1 << len(nbr)) - 1")
+    pinned = ""
+    for order, closing, above in plans:
+        test = " and ".join(f"nbr[x{a}][x{b}] >> x{i} & 1" for i in range(pins) for a, b in closing[i])
         if test != pinned:
             pinned = test
             lines.append(f" if {test}:")
-        pad = "  "
-        if len(closing) == 3:
-            lines.append(f"{pad}return True")
-        for i in range(3, len(closing)):
+        pad = "  " if test else " "
+        for i in range(pins, len(order)):
             terms = [f"nbr[x{a}][x{b}]" for a, b in closing[i]] or ["full"]
-            mask = " & ".join(terms + [f"-(2 << x{a})" for a in above[i]] + [f"~u{i - 1}"])
-            if i == len(closing) - 1:
+            terms += [f"-(2 << x{a})" for a in above[i]] + ([f"~u{i - 1}"] if i else [])
+            mask = " & ".join(terms)
+            if pins and i == len(order) - 1:
                 lines.append(f"{pad}if {mask}: return True")
-                continue
+                break
             lines += [
                 f"{pad}c{i} = {mask}",
                 f"{pad}while c{i}:",
                 f"{pad} b{i} = c{i} & -c{i}",
                 f"{pad} c{i} ^= b{i}",
                 f"{pad} x{i} = b{i}.bit_length() - 1",
-                f"{pad} u{i} = u{i - 1} | b{i}",
+                f"{pad} u{i} = u{i - 1} | b{i}" if i else f"{pad} u0 = b0",
             ]
             pad += " "
-    lines.append(" return False")
+        else:
+            found = "".join(f"x{order.index(v)}, " for v in range(len(order)))
+            lines.append(f"{pad}return " + ("True" if pins else f"({found})"))
+    lines.append(" return " + ("False" if pins else "None"))
     return "\n".join(lines) + "\n"
 
 
@@ -259,52 +274,17 @@ def _plan(pattern: Pattern, incident, group, start: tuple[int, ...]) -> SearchPl
     )
 
 
-def search_maps(nbr, plan: SearchPlan, pins=()) -> tuple[int, ...] | None:
-    """Backtracking core over any table of pair neighborhoods.
+# The search generated from each compiled lex and exists plan.  It depends on
+# the plan alone, so equal plans of two patterns may share it.
+_SEARCHES: dict = {}
 
-    ``nbr[u][v]`` must be the bitmask of vertices completing {u, v} to an
-    edge, on n = len(nbr) vertices.  ``pins`` gives the images of the plan's
-    first positions, which must be distinct.  Candidates at each position
-    are scanned in ascending host order, so without symmetry breaking the
-    result is the least map in plan order.  Returns the map indexed by
-    pattern vertex, or None.
-    """
-    n = len(nbr)
-    order, closing, above = plan
-    p = len(order)
-    if p > n:
-        return None
-    img = list(pins) + [0] * (p - len(pins))
-    used = 0
-    for i, v in enumerate(pins):
-        for x, y in closing[i]:
-            if not nbr[img[x]][img[y]] >> v & 1:
-                return None
-        used |= 1 << v
-    first = i = len(pins)
-    full = (1 << n) - 1
-    cands = [0] * p
-    while i < p:
-        c = full & ~used
-        for x, y in closing[i]:
-            c &= nbr[img[x]][img[y]]
-        for x in above[i]:
-            c &= -(2 << img[x])
-        while not c:
-            i -= 1
-            if i < first:
-                return None
-            used ^= 1 << img[i]
-            c = cands[i]
-        low = c & -c
-        img[i] = low.bit_length() - 1
-        cands[i] = c ^ low
-        used |= low
-        i += 1
-    m = [0] * p
-    for i, v in enumerate(order):
-        m[v] = img[i]
-    return tuple(m)
+
+def search_maps(nbr, plan: SearchPlan) -> tuple[int, ...] | None:
+    """The first map, indexed by pattern vertex, that the search generated
+    from a compiled ``lex`` or ``exists`` plan finds in the pair-mask table
+    ``nbr``, or None.  Candidates are scanned in ascending host order, so
+    the ``lex`` plan gives the least map."""
+    return _SEARCHES[plan](nbr)
 
 
 def find_embedding(host: TripleSystem, pattern: Pattern) -> Embedding | None:
@@ -328,7 +308,7 @@ def embeds_through_edge(nbr, pattern: Pattern, edge) -> bool:
     on, any new pattern copy must pass through it.  Runs one pinned search
     per orbit of ordered pattern edges, which covers every (pattern edge,
     vertex permutation) pin, in the function CompiledPattern.through_check
-    generated from those plans; search_maps is not called.
+    generated from those plans.
     """
     return pattern.compiled.through_check(nbr, edge)
 

@@ -8,7 +8,6 @@ import re
 
 from triplesys import ParseError, TripleSystem, complete_triple_system
 from triplesys.core import MAX_VERTICES, HostState
-from triplesys.patterns import search_maps
 
 
 def random_host(n: int, rng: random.Random, density: float = 0.5) -> TripleSystem:
@@ -50,11 +49,62 @@ def scan_min_positive_codegree(host: TripleSystem) -> int | None:
     return best
 
 
+def interpreted_search_maps(nbr, plan, pins=()) -> tuple[int, ...] | None:
+    """The backtracking interpreter that ran every search plan before the
+    plans were generated into functions.  Frozen here as the oracle for
+    ``patterns.search_maps`` and ``patterns.embeds_through_edge``.
+
+    ``nbr[u][v]`` must be the bitmask of vertices completing {u, v} to an
+    edge, on n = len(nbr) vertices.  ``pins`` gives the images of the plan's
+    first positions, which must be distinct.  Candidates at each position
+    are scanned in ascending host order, so without symmetry breaking the
+    result is the least map in plan order.  Returns the map indexed by
+    pattern vertex, or None.
+    """
+    n = len(nbr)
+    order, closing, above = plan
+    p = len(order)
+    if p > n:
+        return None
+    img = list(pins) + [0] * (p - len(pins))
+    used = 0
+    for i, v in enumerate(pins):
+        for x, y in closing[i]:
+            if not nbr[img[x]][img[y]] >> v & 1:
+                return None
+        used |= 1 << v
+    first = i = len(pins)
+    full = (1 << n) - 1
+    cands = [0] * p
+    while i < p:
+        c = full & ~used
+        for x, y in closing[i]:
+            c &= nbr[img[x]][img[y]]
+        for x in above[i]:
+            c &= -(2 << img[x])
+        while not c:
+            i -= 1
+            if i < first:
+                return None
+            used ^= 1 << img[i]
+            c = cands[i]
+        low = c & -c
+        img[i] = low.bit_length() - 1
+        cands[i] = c ^ low
+        used |= low
+        i += 1
+    m = [0] * p
+    for i, v in enumerate(order):
+        m[v] = img[i]
+    return tuple(m)
+
+
 def interpreted_through_edge(nbr, pattern, edge) -> bool:
     """The through-edge check as it was before its plans were generated into
-    one function: the backtracking interpreter, once per through plan.
-    Frozen here as the oracle for ``patterns.embeds_through_edge``."""
-    return any(search_maps(nbr, plan, edge) is not None for plan in pattern.compiled.through)
+    one function: the backtracking interpreter, once per through plan."""
+    return any(
+        interpreted_search_maps(nbr, plan, edge) is not None for plan in pattern.compiled.through
+    )
 
 
 _EDGE_LINE = re.compile(r"^(\d+) (\d+) (\d+)$")

@@ -6,7 +6,7 @@ triangle t of ``itertools.combinations(range(n), 3)``.  An AND or OR of
 two such integers evaluates a condition on all 2^C(n, 3) edge sets.  The
 triangle masks and the pattern's copy masks are built here from
 ``Pattern.edges`` and ``itertools.permutations`` alone, so the oracle
-shares no code with the decision search, ``search_maps`` or
+shares no code with the decision search, the generated pattern searches or
 ``build_codegree_table``.
 """
 

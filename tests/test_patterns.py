@@ -26,8 +26,9 @@ from triplesys import (
 )
 
 from triplesys.core import flip
+from triplesys.patterns import search_maps
 
-from conftest import interpreted_through_edge, random_host
+from conftest import interpreted_search_maps, interpreted_through_edge, random_host
 
 
 class TestCatalog:
@@ -181,6 +182,22 @@ def _pin_enumeration(host, pattern, t) -> bool:
     return False
 
 
+class _Row(list):
+    """A row of a pair-mask table that logs each cell read as (u, v)."""
+
+    def __init__(self, u, cells, log):
+        super().__init__(cells)
+        self.u, self.log = u, log
+
+    def __getitem__(self, v):
+        self.log.append((self.u, v))
+        return super().__getitem__(v)
+
+
+def _logged(nbr, log):
+    return [_Row(u, row, log) for u, row in enumerate(nbr)]
+
+
 class TestCompiledSearch:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(4, 8), st.floats(0.05, 0.8), st.randoms(use_true_random=False))
@@ -233,12 +250,30 @@ class TestCompiledSearch:
                 assert embeds_through_edge(nbr, pattern, t) == interpreted_through_edge(
                     nbr, pattern, t
                 )
+        # The unpinned searches return the interpreter's map, not just its
+        # verdict; chain, on 6 vertices, meets hosts of 5.  When the pattern
+        # fits, they also read the same cells in the same order, so a dropped
+        # symmetry bound shows, though it never changes the least map.
+        for pattern in (*CATALOG.values(), *self.CUSTOM):
+            for plan in (pattern.compiled.lex, pattern.compiled.exists):
+                reads, oracle_reads = [], []
+                found = search_maps(_logged(nbr, reads), plan)
+                assert found == interpreted_search_maps(_logged(nbr, oracle_reads), plan)
+                if len(plan.order) <= n:
+                    assert reads == oracle_reads
 
     def test_compiled_patterns_pickle(self):
+        # Every pattern occurs in the complete host; none in a book of three
+        # edges on one pair.
+        hosts = (complete_triple_system(6), TripleSystem(6, ((0, 1, 2), (0, 1, 3), (0, 1, 4))))
         for pattern in CATALOG.values():
             assert pattern.compiled.through_check
             clone = pickle.loads(pickle.dumps(pattern))
             assert clone == pattern and clone.compiled.through == pattern.compiled.through
+            assert clone.compiled.through_check is not pattern.compiled.through_check
+            for host, free in zip(hosts, (False, True)):
+                assert is_free(host, clone) == is_free(host, pattern) == free
+                assert find_embedding(host, clone) == find_embedding(host, pattern)
 
     # |Aut(F)| and the number of orbits of Aut(F) on ordered pattern edges.
     GROUPS = {"k4minus": (6, 3), "k4": (24, 1), "c5minus": (2, 12), "c5": (10, 3), "f32": (12, 4)}
