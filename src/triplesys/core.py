@@ -44,8 +44,10 @@ def _mask_edges(nbr) -> tuple[tuple[int, int, int], ...]:
 def flip(masks, t) -> None:
     """Toggle the triple t = (u, v, w) in the masks of its three pairs.
 
-    The one writer of a pair-mask table; a flip is its own inverse, so a
-    search undoes a move by flipping the same triple again.
+    The one writer of a pair-mask table, except that
+    ``fileio.parse_hypergraph`` writes the same three pairs inline; a flip
+    is its own inverse, so a search undoes a move by flipping the same
+    triple again.
     """
     u, v, w = t
     ru, rv, rw = masks[u], masks[v], masks[w]
@@ -57,12 +59,13 @@ def flip(masks, t) -> None:
 class TripleSystem:
     """An immutable n-vertex 3-uniform hypergraph.
 
-    Edges are stored both as a lexicographically sorted tuple (deterministic
-    iteration) and as per-pair neighborhood bitmasks (fast co-degree and
-    intersection queries).
+    The host is its table of per-pair neighborhood bitmasks (fast co-degree
+    and intersection queries).  The lexicographically sorted edge tuple
+    (deterministic iteration) is read off the table the first time
+    ``edges`` is asked for, and kept.
     """
 
-    __slots__ = ("n", "edges", "_nbr")
+    __slots__ = ("n", "_nbr", "_edges")
 
     def __init__(self, n: int, edges=()):
         if not 0 <= n <= MAX_VERTICES:
@@ -83,7 +86,7 @@ class TripleSystem:
     def _from_masks(cls, nbr) -> "TripleSystem":
         """The host whose pair-mask table is nbr, built without a check.
 
-        nbr must be a table that only ``flip`` has written, with at most
+        nbr must be a table written only as ``flip`` writes, with at most
         MAX_VERTICES rows; the host takes it over, so the caller must not
         modify it afterwards.
         """
@@ -92,28 +95,43 @@ class TripleSystem:
         return host
 
     def _seal(self, nbr) -> None:
-        """Fix n, edges and the table: the one way a table becomes a host."""
+        """Fix n and the table: the one way a table becomes a host."""
         object.__setattr__(self, "n", len(nbr))
-        object.__setattr__(self, "edges", _mask_edges(nbr))
         object.__setattr__(self, "_nbr", nbr)
+        object.__setattr__(self, "_edges", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TripleSystem is immutable")
 
+    def __reduce__(self):
+        # the default restores slots through the blocked __setattr__
+        return TripleSystem._from_masks, ([row[:] for row in self._nbr],)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, TripleSystem):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        # a table holds each edge in its three pairs and nothing else
+        return self.n == other.n and self._nbr == other._nbr
 
     def __hash__(self) -> int:
         return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
-        return f"TripleSystem(n={self.n}, edges={len(self.edges)})"
+        return f"TripleSystem(n={self.n}, edges={self.edge_count})"
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The edges (u, v, w), u < v < w, in lexicographic order."""
+        edges = self._edges
+        if edges is None:
+            edges = _mask_edges(self._nbr)
+            object.__setattr__(self, "_edges", edges)
+        return edges
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        # each edge sets one bit in the mask of each of its three pairs
+        return sum(m.bit_count() for u, row in enumerate(self._nbr) for m in row[u + 1:]) // 3
 
     def has_edge(self, u: int, v: int, w: int) -> bool:
         return bool(self._nbr[u][v] >> w & 1)

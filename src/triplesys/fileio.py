@@ -6,9 +6,10 @@ by single spaces.  ``#`` starts a comment line; blank lines are skipped;
 duplicate edges are rejected.  Serialization is byte-stable (LF endings,
 ASCII, lexicographic edge order), so parse(serialize(H)) == H.
 
-Loading is one pass: each edge line is checked and flipped straight into
+Loading is one pass: each edge line is checked and written straight into
 the host's pair-mask table, which finds a repeated edge by its mask bit,
-and the finished table becomes the host without a second check.
+and the finished table becomes the host without a second check.  The host
+builds its sorted edge tuple only when something reads it.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from __future__ import annotations
 import json
 import re
 
-from .core import MAX_VERTICES, TripleSystem, flip
+from .core import MAX_VERTICES, TripleSystem
 from .patterns import Embedding, pattern_by_name, validate_embedding
 from .witness import StructureCertificate
 
 _HEADER_LINE = re.compile(r"^n (\d+)$")
+#: Each vertex index as serialize_hypergraph spells it.
+_INDEX = {str(v): v for v in range(MAX_VERTICES)}
 
 
 class ParseError(ValueError):
@@ -33,9 +36,10 @@ class ParseError(ValueError):
 
 def parse_hypergraph(text: str) -> TripleSystem:
     nbr = None
+    index = _INDEX.get
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         if nbr is None:
             m = _HEADER_LINE.match(line)
@@ -47,20 +51,32 @@ def parse_hypergraph(text: str) -> TripleSystem:
             nbr = [[0] * n for _ in range(n)]
             continue
         fields = line.split(" ")
-        if len(fields) != 3 or not (
-            fields[0].isdecimal() and fields[1].isdecimal() and fields[2].isdecimal()
-        ):
+        if len(fields) != 3:
             raise ParseError(
                 lineno, f"expected three space-separated integers, got {line!r}"
             )
-        u, v, w = int(fields[0]), int(fields[1]), int(fields[2])
+        a, b, c = fields
+        u, v, w = index(a), index(b), index(c)
+        if u is None or v is None or w is None:
+            # a spelling serialize_hypergraph does not write: leading zeros,
+            # other decimal digits, an index of 64 or more, or no number
+            if not (a.isdecimal() and b.isdecimal() and c.isdecimal()):
+                raise ParseError(
+                    lineno, f"expected three space-separated integers, got {line!r}"
+                )
+            u, v, w = int(a), int(b), int(c)
         if not u < v < w:
             raise ParseError(lineno, f"vertices must be distinct and ascending: {line!r}")
         if w >= n:
             raise ParseError(lineno, f"vertex {w} out of range 0..{n - 1}")
-        if nbr[u][v] >> w & 1:
+        ru, rv, rw = nbr[u], nbr[v], nbr[w]
+        uv = ru[v]
+        if uv >> w & 1:
             raise ParseError(lineno, f"duplicate edge {line!r}")
-        flip(nbr, (u, v, w))
+        # core.flip written out: the edge is new, so each pair gains one bit
+        ru[v] = rv[u] = uv | 1 << w
+        ru[w] = rw[u] = ru[w] | 1 << v
+        rv[w] = rw[v] = rv[w] | 1 << u
     if nbr is None:
         raise ParseError(1, "missing header 'n <count>'")
     return TripleSystem._from_masks(nbr)

@@ -1,6 +1,8 @@
 import contextlib
+import copy
 import io
 import itertools
+import pickle
 import random
 
 import pytest
@@ -9,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from triplesys import (
     PreconditionViolated,
     TripleSystem,
+    analyze_half_degree,
     build_codegree_table,
     complete_triple_system,
     construct_complete_k_partite,
+    find_c5_witness,
     known_extremal_value,
     min_codegree,
     min_positive_codegree,
@@ -46,6 +50,7 @@ class TestTripleSystem:
         edges = [tuple(rng.sample(e, 3)) for e in edges]
         host = TripleSystem(n, edges)
         assert host.edges == tuple(sorted({tuple(sorted(e)) for e in edges}))
+        assert host.edge_count == len(host.edges)
         masks = [[0] * n for _ in range(n)]
         for e in edges:
             for u, v, w in itertools.permutations(e):
@@ -56,6 +61,20 @@ class TestTripleSystem:
         h = TripleSystem(3, [(0, 1, 2)])
         with pytest.raises(AttributeError):
             h.n = 5
+        with pytest.raises(AttributeError):
+            h.edges = ()
+
+    def test_copy_deepcopy_and_pickle(self):
+        host = complete_triple_system(6)
+        witness = find_c5_witness(host)
+        certificate = analyze_half_degree(construct_complete_k_partite(8, 4)[0])
+        for route in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            for original in (host, witness, certificate):
+                assert route(original) == original
+            clone = route(host)
+            assert clone.edges == host.edges
+            assert clone.pair_masks is not host.pair_masks
+            assert not any(a is b for a, b in zip(clone.pair_masks, host.pair_masks))
 
     def test_neighborhood_and_codegree(self):
         h = TripleSystem(5, [(0, 1, 2), (0, 1, 3)])

@@ -20,14 +20,16 @@ from triplesys.fileio import dump_json, result_from_json, result_to_json
 from conftest import random_host, reference_parse_hypergraph
 
 # Host-file texts for the oracle test, built from tokens at the edges of the
-# grammar: decimal digits with leading zeros, and "\u0663" (ARABIC-INDIC
-# THREE), which the grammar accepts; signs, underscores, "\u00b2"
-# (SUPERSCRIPT TWO) and letters, which it rejects; tabs, double spaces and
-# padded lines; and the line ends \r\n, \r, \x0c and \x1c, which
-# str.splitlines splits on as it does on \n.
+# grammar: decimal digits with leading zeros, indices of 64 and more, and
+# "\u0663" (ARABIC-INDIC THREE), which the grammar accepts; signs,
+# underscores, "\u00b2" (SUPERSCRIPT TWO) and letters, which it rejects;
+# tabs, double spaces and padded lines; and the line ends \r\n, \r, \x0c
+# and \x1c, which str.splitlines splits on as it does on \n.
 _VERTEX = st.one_of(
     st.integers(0, 6).map(str),
-    st.sampled_from(["00", "03", "007", "+1", "-1", "1_0", "\u0663", "\u00b2", "x", ""]),
+    st.sampled_from(
+        ["00", "03", "007", "64", "064", "99", "+1", "-1", "1_0", "\u0663", "\u00b2", "x", ""]
+    ),
 )
 _SEP = st.sampled_from([" ", " ", " ", "  ", "\t"])
 _PAD = st.sampled_from(["", "", " ", "\t", "  "])
@@ -51,7 +53,7 @@ _LINE = st.tuples(
     _PAD,
 ).map("".join)
 _HOST_TEXTS = st.tuples(
-    st.sampled_from(["n 4", "n 6", "n 7", "n 7", "n 05", "n 0", "n 70", "# only", ""]),
+    st.sampled_from(["n 4", "n 6", "n 7", "n 7", "n 05", "n 0", "n 64", "n 70", "# only", ""]),
     st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", "\x1c"])), max_size=8),
 ).map(lambda parts: parts[0] + "\n" + "".join(line + end for line, end in parts[1]))
 
@@ -62,7 +64,7 @@ def _parse_outcome(parse, text):
         host = parse(text)
     except ParseError as err:
         return ("error", err.line, str(err))
-    return ("host", host.n, host.edges, host.pair_masks)
+    return ("host", host.n, host.edges, host.edge_count, host.pair_masks)
 
 
 def _classes_certificate():
@@ -197,6 +199,9 @@ class TestHostFormat:
         ("n 4\n2 1 0\n", 2, "line 2: vertices must be distinct and ascending: '2 1 0'"),
         ("n 4\n0 1 2\n0 1 2\n", 3, "line 3: duplicate edge '0 1 2'"),
         ("n 4\n0 1 9\n", 2, "line 2: vertex 9 out of range 0..3"),
+        ("n 64\n0 1 64\n", 2, "line 2: vertex 64 out of range 0..63"),
+        ("n 64\n0 01 64\n", 2, "line 2: vertex 64 out of range 0..63"),
+        ("n 4\n1 0 3\n", 2, "line 2: vertices must be distinct and ascending: '1 0 3'"),
         ("n 70\n", 1, "line 1: vertex count 70 exceeds the cap of 64"),
         ("n 4\n0  1 2\n", 2, "line 2: expected three space-separated integers, got '0  1 2'"),
         ("n 4\n0 1 2 3\n", 2, "line 2: expected three space-separated integers, got '0 1 2 3'"),
