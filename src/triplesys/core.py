@@ -138,17 +138,12 @@ class TripleSystem:
 
     @property
     def pair_masks(self) -> list[list[int]]:
-        """The table behind neighborhood_mask: ``pair_masks[u][v]`` for u != v.
+        """The neighborhood table: ``pair_masks[u][v]`` is the bitmask of the
+        vertices w such that {u, v, w} is an edge, and the diagonal is 0.
 
         Shared with the host, so callers must not modify it.
         """
         return self._nbr
-
-    def neighborhood_mask(self, u: int, v: int) -> int:
-        """Bitmask of vertices w such that {u, v, w} is an edge; 0 if u == v."""
-        if u == v:
-            return 0
-        return self._nbr[u][v]
 
     def relabel(self, perm) -> "TripleSystem":
         """Apply a vertex permutation (perm[old] = new)."""

@@ -9,7 +9,7 @@ CompiledPattern), each as straight-line code generated from its plans at
 compile time.  find_embedding uses the identity vertex order without
 symmetry breaking, so it returns the lexicographically least map.  The
 existence-only queries (is_free and embeds_through_edge) place the most
-constrained vertex first and break the pattern's automorphisms.
+constrained vertex first and break the pattern's symmetry group Aut(F).
 embeds_through_edge takes a bare pair-mask table, so the exact and the local
 search run the one through-edge check on the tables they change.
 """
@@ -128,18 +128,17 @@ class SearchPlan(namedtuple("SearchPlan", "order closing above")):
 
 
 class CompiledPattern(
-    namedtuple("CompiledPattern", "automorphisms lex exists through through_check")
+    namedtuple("CompiledPattern", "lex exists through through_check")
 ):
     """Everything the searches need from a pattern, computed once.
 
-    ``automorphisms`` is Aut(F) as vertex maps.  ``lex`` searches vertices
-    in index order without symmetry breaking; ``exists`` is the
-    existence-only plan; search_maps runs the function generated from
-    either.  ``through`` holds one plan per orbit of Aut(F) on the ordered
-    pattern edges (a, b, c); each places a, b, c first, so pinning them to
-    an ordered host edge covers every way a copy can use that edge.
-    ``through_check(nbr, edge)`` runs those plans, in order, as one
-    generated function.  _search_source writes all three functions.
+    ``lex`` searches vertices in index order without symmetry breaking;
+    ``exists`` is the existence-only plan; search_maps runs the function
+    generated from either.  ``through`` holds one plan per orbit of Aut(F)
+    on the ordered pattern edges (a, b, c); each places a, b, c first, so
+    pinning them to an ordered host edge covers every way a copy can use
+    that edge.  ``through_check(nbr, edge)`` runs those plans, in order, as
+    one generated function.  _search_source writes all three functions.
     """
 
     __slots__ = ()
@@ -168,7 +167,6 @@ def _compile(pattern: Pattern) -> CompiledPattern:
     for plan in (lex, exists):
         _SEARCHES[plan] = _generate(_search_source((plan,), 0), "search", pattern.name)
     return CompiledPattern(
-        automorphisms=tuple(group),
         lex=lex,
         exists=exists,
         through=through,
@@ -242,7 +240,7 @@ def _plan(pattern: Pattern, incident, group, start: tuple[int, ...]) -> SearchPl
     other vertex in the orbit of the one just placed must take a larger
     image: each symmetry class of maps keeps at least one member, so
     existence answers are unchanged.  ``start`` takes pinned images, so it
-    gets no bounds and only automorphisms fixing it are broken.
+    gets no bounds and only the symmetries fixing it are broken.
     """
     order = list(start)
     placed = sum(1 << v for v in start)

@@ -137,14 +137,15 @@ class StructureCertificate:
             if covered != self.b_sets[i]:
                 return False
             # class semantics: empty pair neighborhoods inside, nonempty across
+            nbr = host.pair_masks
             for ci, cls in enumerate(self.classes):
                 for a in cls:
                     for b in cls:
-                        if a < b and host.neighborhood_mask(a, b):
+                        if a < b and nbr[a][b]:
                             return False
                     for cj in range(ci + 1, len(self.classes)):
                         for b in self.classes[cj]:
-                            if not host.neighborhood_mask(a, b):
+                            if not nbr[a][b]:
                                 return False
             seen: set[int] = set()
             for x, y in self.pairing:
@@ -163,12 +164,10 @@ class StructureCertificate:
 
 
 def _neighbor_matrix(host: TripleSystem, base):
-    nm = [[0] * 4 for _ in range(4)]
-    for i, j in IDX_PAIRS:
-        m = host.neighborhood_mask(base[i], base[j])
-        nm[i][j] = m
-        nm[j][i] = m
-    return nm
+    """The 4x4 matrix of base-pair neighborhoods; the diagonal is 0, as in
+    every pair-mask table."""
+    nbr = host.pair_masks
+    return [[nbr[u][v] for v in base] for u in base]
 
 
 def _ab_cells(nm) -> tuple[list[int], list[int]]:
@@ -202,6 +201,15 @@ def _outside(n: int, base) -> int:
     for v in base:
         m &= ~(1 << v)
     return m
+
+
+def _fifth_vertex(n: int, base, nm, h: int) -> int | None:
+    """The least vertex outside the base in at least h of the six base-pair
+    neighborhoods, or None: the extractors' scan for the fifth vertex."""
+    for v5 in mask_vertices(_outside(n, base)):
+        if sum(nm[i][j] >> v5 & 1 for i, j in IDX_PAIRS) >= h:
+            return v5
+    return None
 
 
 def _c5_from_quad(base, nm, v5) -> tuple[int, int, int, int, int] | None:
@@ -276,21 +284,17 @@ def find_c5minus_witness(host: TripleSystem) -> Embedding:
 
     Follows the two-case analysis: anchor a 3-of-4 configuration
     v1v2v3, v1v2v4, v1v3v4; if v2v3v4 is absent, scan for a fifth vertex in
-    two of N(v2,v1), N(v2,v3), N(v2,v4); otherwise scan the six reduced
-    neighborhoods M_{i,j} of the resulting K4 and dispatch on whether the
-    two hosting index pairs overlap.
+    two of N(v2,v1), N(v2,v3), N(v2,v4); otherwise take the least fifth
+    vertex in two of the six pair neighborhoods of the resulting K4 and
+    dispatch on whether the first two pairs holding it overlap.
     """
     delta = _codegree_above(host, 3)
     base = _k4minus_base(host)
-    outside = _outside(host.n, base)
+    nm = _neighbor_matrix(host, base)
     if not host.has_edge(base[1], base[2], base[3]):
         # Case 1: pivot v2 = base[1]; the three sets through it.
-        sets = (
-            host.neighborhood_mask(base[1], base[0]),
-            host.neighborhood_mask(base[1], base[2]),
-            host.neighborhood_mask(base[1], base[3]),
-        )
-        for v5 in mask_vertices(outside):
+        sets = (nm[1][0], nm[1][2], nm[1][3])
+        for v5 in mask_vertices(_outside(host.n, base)):
             flags = tuple(s >> v5 & 1 for s in sets)
             if sum(flags) < 2:
                 continue
@@ -305,29 +309,27 @@ def find_c5minus_witness(host: TripleSystem) -> Embedding:
             "no fifth vertex in two of the pivot neighborhoods",
             {"base": base, "sets": [mask_vertices(s) for s in sets], "delta": delta},
         )
-    # Case 2: the anchor is a full K4; use the reduced neighborhoods (the
-    # base-pair neighborhoods less the base), which agree with nm outside it.
-    nm = _neighbor_matrix(host, base)
-    for v5 in mask_vertices(outside):
-        containing = [(i, j) for i, j in IDX_PAIRS if nm[i][j] >> v5 & 1]
-        if len(containing) < 2:
-            continue
-        p1, p2 = containing[0], containing[1]
-        common = set(p1) & set(p2)
-        if common:
-            c = common.pop()
-            o1 = p1[0] + p1[1] - c
-            o2 = p2[0] + p2[1] - c
-            rem = 6 - c - o1 - o2
-            m = (base[o2], base[rem], base[o1], base[c], v5)
-        else:
-            m = (v5, base[p1[0]], base[p1[1]], base[p2[0]], base[p2[1]])
-        return _validated(host, C5MINUS, m)
-    reduced = {(i, j): mask_vertices(nm[i][j] & outside) for i, j in IDX_PAIRS}
-    raise InternalContradiction(
-        "no fifth vertex in two of the reduced neighborhoods",
-        {"base": base, "reduced": reduced, "delta": delta},
-    )
+    # Case 2: the anchor is a full K4.
+    v5 = _fifth_vertex(host.n, base, nm, 2)
+    if v5 is None:
+        # the reduced neighborhoods: the base-pair neighborhoods less the base
+        outside = _outside(host.n, base)
+        reduced = {(i, j): mask_vertices(nm[i][j] & outside) for i, j in IDX_PAIRS}
+        raise InternalContradiction(
+            "no fifth vertex in two of the reduced neighborhoods",
+            {"base": base, "reduced": reduced, "delta": delta},
+        )
+    p1, p2 = [(i, j) for i, j in IDX_PAIRS if nm[i][j] >> v5 & 1][:2]
+    common = set(p1) & set(p2)
+    if common:
+        c = common.pop()
+        o1 = p1[0] + p1[1] - c
+        o2 = p2[0] + p2[1] - c
+        rem = 6 - c - o1 - o2
+        m = (base[o2], base[rem], base[o1], base[c], v5)
+    else:
+        m = (v5, base[p1[0]], base[p1[1]], base[p2[0]], base[p2[1]])
+    return _validated(host, C5MINUS, m)
 
 
 def _validated(host: TripleSystem, pattern, map_tuple) -> Embedding:
@@ -343,53 +345,49 @@ def _validated(host: TripleSystem, pattern, map_tuple) -> Embedding:
 def _extract_c5_k4free(host: TripleSystem) -> tuple[int, ...]:
     """Tight 5-cycle in a K4-free host with co-degree at least n/2.
 
-    Anchors a 3-of-4 configuration, finds a fifth vertex in four of the six
-    base-pair neighborhoods, and branches on how many of the three apex
-    neighborhoods contain it (three is impossible in a K4-free host).
+    Anchors a 3-of-4 configuration, takes the least fifth vertex in four of
+    the six base-pair neighborhoods, and branches on how many of the three
+    apex neighborhoods contain it: one or two, since only three pairs avoid
+    the apex and all three is impossible in a K4-free host.  Four hits then
+    fix the other memberships the cycle uses.
     """
     base = _k4minus_base(host)
     nm = _neighbor_matrix(host, base)
-    for v5 in mask_vertices(_outside(host.n, base)):
-        count = sum(nm[i][j] >> v5 & 1 for i, j in IDX_PAIRS)
-        if count < 4:
-            continue
-        apex_hits = [t for t in (1, 2, 3) if nm[0][t] >> v5 & 1]
-        state = {"base": base, "v5": v5, "apex_hits": apex_hits, **_set_state(base, nm)}
-        if len(apex_hits) == 3:
-            raise InternalContradiction(
-                "fifth vertex in all apex neighborhoods of a K4-free host", state
-            )
-        if len(apex_hits) == 0:
-            raise InternalContradiction(
-                "fifth vertex in four sets but no apex neighborhood", state
-            )
-        if len(apex_hits) == 2:
-            x, y = apex_hits
-            z = 6 - x - y
-            if nm[x][y] >> v5 & 1:
-                raise InternalContradiction("hidden K4 in a host reported K4-free", state)
-            if not (nm[x][z] >> v5 & 1 and nm[y][z] >> v5 & 1):
-                raise InternalContradiction("membership count inconsistent", state)
-            return (base[z], v5, base[y], base[0], base[x])
-        x = apex_hits[0]
-        y, z = sorted(t for t in (1, 2, 3) if t != x)
-        if not (nm[x][z] >> v5 & 1 and nm[y][z] >> v5 & 1):
-            raise InternalContradiction("membership count inconsistent", state)
-        return (base[0], base[x], v5, base[z], base[y])
-    raise InternalContradiction(
-        "no fifth vertex in four of the six base neighborhoods",
-        {"base": base, **_set_state(base, nm)},
-    )
+    v5 = _fifth_vertex(host.n, base, nm, 4)
+    if v5 is None:
+        raise InternalContradiction(
+            "no fifth vertex in four of the six base neighborhoods",
+            {"base": base, **_set_state(base, nm)},
+        )
+    # at least one hit: only three of the six pairs avoid the apex
+    apex_hits = [t for t in (1, 2, 3) if nm[0][t] >> v5 & 1]
+    state = {"base": base, "v5": v5, "apex_hits": apex_hits, **_set_state(base, nm)}
+    if len(apex_hits) == 3:
+        raise InternalContradiction(
+            "fifth vertex in all apex neighborhoods of a K4-free host", state
+        )
+    if len(apex_hits) == 2:
+        x, y = apex_hits
+        z = 6 - x - y
+        if nm[x][y] >> v5 & 1:
+            raise InternalContradiction("hidden K4 in a host reported K4-free", state)
+        # the other two hits are N(v_x, v_z) and N(v_y, v_z)
+        return (base[z], v5, base[y], base[0], base[x])
+    # the other three hits are the three pairs that avoid the apex
+    x = apex_hits[0]
+    y, z = sorted(t for t in (1, 2, 3) if t != x)
+    return (base[0], base[x], v5, base[z], base[y])
 
 
 def find_c5_witness(host: TripleSystem) -> Embedding:
     """Locate a tight 5-cycle in a host with co-degree strictly above n/2.
 
     If the host is K4-free, runs the apex-count branch analysis on a 3-of-4
-    anchor; otherwise scans for a fifth vertex in four of the six pair
-    neighborhoods of a K4 and closes the cycle through the pairing that
-    contains it twice.  No K4-free host passes the gate at n <= 8: co+ex(n, K4)
-    is 2, 3 and 3 at n = 6, 7 and 8, so the K4-free branch needs n >= 9.
+    anchor; otherwise takes the least fifth vertex in four of the six pair
+    neighborhoods of a K4 and closes the cycle through the first pairing
+    that contains it twice.  No K4-free host passes the gate at n <= 8:
+    co+ex(n, K4) is 2, 3 and 3 at n = 6, 7 and 8, so the K4-free branch
+    needs n >= 9.
     """
     delta = _codegree_above(host, 2)
     k4 = find_embedding(host, K4)
@@ -397,20 +395,14 @@ def find_c5_witness(host: TripleSystem) -> Embedding:
         return _validated(host, C5, _extract_c5_k4free(host))
     base = k4.map
     nm = _neighbor_matrix(host, base)
-    for v5 in mask_vertices(_outside(host.n, base)):
-        if sum(nm[i][j] >> v5 & 1 for i, j in IDX_PAIRS) < 4:
-            continue
-        m = _c5_from_quad(base, nm, v5)
-        if m is None:
-            raise InternalContradiction(
-                "fifth vertex in four sets but no doubled pairing with a crossing",
-                {"base": base, "v5": v5, **_set_state(base, nm)},
-            )
-        return _validated(host, C5, m)
-    raise InternalContradiction(
-        "no fifth vertex in four of the six base neighborhoods",
-        {"base": base, "delta": delta, **_set_state(base, nm)},
-    )
+    v5 = _fifth_vertex(host.n, base, nm, 4)
+    if v5 is None:
+        raise InternalContradiction(
+            "no fifth vertex in four of the six base neighborhoods",
+            {"base": base, "delta": delta, **_set_state(base, nm)},
+        )
+    # four hits over three pairings fill one pairing and cross it twice
+    return _validated(host, C5, _c5_from_quad(base, nm, v5))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +431,11 @@ class _HalfDegreeAnalyzer:
     Every public step either completes its literal verification, raises
     _FoundC5 with an explicit tight 5-cycle, or raises InternalContradiction
     from a state that only the theory rules out.  No raise guards a state that
-    the checks just made exclude, or one after a call that always raises.
+    the checks just made exclude, or one after a call that always raises; a
+    call that always raises carries a "raises:" comment saying why.  In
+    particular, a context from make_ctx has complementary pairings, so
+    aaa_equal cannot establish an equality that would put a vertex in both
+    sets of a pairing.
     """
 
     def __init__(self, host: TripleSystem, on_fact: Callable[[str], None] | None = None):
@@ -498,28 +494,20 @@ class _HalfDegreeAnalyzer:
         failure surfaces a C5.  Returning normally means the equality was
         established literally.
         """
-        host, ctx_nm = self.host, ctx.nm
-        others = [x for x in range(4) if x not in (i, j)]
-        k, l = others
+        nbr, ctx_nm = self.host.pair_masks, ctx.nm
+        k, l = (x for x in range(4) if x not in (i, j))
         vj, vk, vl = ctx.base[j], ctx.base[k], ctx.base[l]
         state = {"a": a, "b": b, "i": i, "j": j, "base": ctx.base}
-        if not ctx.amask[i] >> a & 1 or not ctx.amask[j] >> b & 1:
-            raise InternalContradiction("cross-pair arguments not in their A-cells", state)
-        base2 = (a, vj, vk, vl)
-        self.analyzed_nm(base2)
-        if host.neighborhood_mask(a, vk) != ctx_nm[i][k] or host.neighborhood_mask(a, vl) != ctx_nm[i][l]:
+        # a and b are A-cell members at every call site, so that is not re-checked
+        self.analyzed_nm((a, vj, vk, vl))
+        if nbr[a][vk] != ctx_nm[i][k] or nbr[a][vl] != ctx_nm[i][l]:
             raise InternalContradiction(
                 "substituted base vertex has different neighborhoods", state
             )
-        if not (
-            host.neighborhood_mask(a, vk) >> b & 1
-            and host.neighborhood_mask(a, vl) >> b & 1
-            and ctx_nm[k][l] >> b & 1
-        ):
+        if not (nbr[a][vk] >> b & 1 and nbr[a][vl] >> b & 1 and ctx_nm[k][l] >> b & 1):
             raise InternalContradiction("second A-cell member lost its memberships", state)
-        base3 = (a, b, vk, vl)
-        self.analyzed_nm(base3)
-        if host.neighborhood_mask(a, b) != ctx_nm[i][j]:
+        self.analyzed_nm((a, b, vk, vl))
+        if nbr[a][b] != ctx_nm[i][j]:
             raise InternalContradiction(
                 "cross-pair neighborhood differs although both derived bases verified", state
             )
@@ -534,13 +522,13 @@ class _HalfDegreeAnalyzer:
         Returning normally means the exclusion holds literally.
         """
         self.fact(5)
-        host = self.host
+        nbr = self.host.pair_masks
         for i in positions:
             for a in mask_vertices(ctx.bmask[i]):
                 for jj in range(4):
                     if jj == i:
                         continue
-                    nav = host.neighborhood_mask(a, ctx.base[jj])
+                    nav = nbr[a][ctx.base[jj]]
                     for kk in range(4):
                         if kk in (i, jj):
                             continue
@@ -549,11 +537,9 @@ class _HalfDegreeAnalyzer:
                             b = (hit_b & -hit_b).bit_length() - 1
                             raise _FoundC5((a, ctx.base[i], ctx.base[kk], b, ctx.base[jj]))
                         for w in mask_vertices(nav & ctx.amask[kk]):
+                            # raises: a is in N(w, v_jj), so N(w, v_jj) = N(v_kk, v_jj) would
+                            # put a in both sets of a pairing analyzed_nm found complementary
                             self.aaa_equal(ctx, w, kk, ctx.base[jj], jj)
-                            raise InternalContradiction(
-                                "B-cell member adjacent into a foreign A-cell with verified equalities",
-                                {"a": a, "w": w, "base": ctx.base, "i": i, "jj": jj, "kk": kk},
-                            )
 
     def two_nonempty_hunt(self, ctx: _Ctx):
         """At least two nonempty B-cells: a C5 must surface; never returns."""
@@ -570,19 +556,16 @@ class _HalfDegreeAnalyzer:
 
     def ensure_pair_empty(self, ctx: _Ctx, a: int, b: int, jpos: int) -> None:
         """Members of one A-cell (of a unique-nonempty-B base) span no edge."""
-        host = self.host
-        m = host.neighborhood_mask(a, b)
+        m = self.host.pair_masks[a][b]
         if m == 0:
             return
         for mm in range(4):
             if mm == jpos:
                 continue
             for w in mask_vertices(m & ctx.amask[mm]):
+                # raises: a is in N(w, b), so N(w, b) = N(v_mm, v_jpos) would put
+                # a in both sets of a pairing analyzed_nm found complementary
                 self.aaa_equal(ctx, w, mm, b, jpos)
-                raise InternalContradiction(
-                    "A-cell pair with a neighbor in a foreign A-cell despite verified equalities",
-                    {"a": a, "b": b, "w": w, "jpos": jpos, "base": ctx.base},
-                )
         raise InternalContradiction(
             "support pair inside an A-cell with co-degree below n/2",
             {"a": a, "b": b, "jpos": jpos, "neighborhood": mask_vertices(m), "base": ctx.base},
@@ -596,20 +579,15 @@ class _HalfDegreeAnalyzer:
         sweeps to have run on ctx, as secondary_ctx, the only caller, ensures:
         they refute a hit of N(a, v_j2) in a foreign A-cell and in the pivot's
         (there a would lie in N(w, v_j2), a pair inside one A-cell)."""
-        host = self.host
+        row = self.host.pair_masks[a]
         vi, vj = ctx.base[istar], ctx.base[j2]
-        cand = (
-            ctx.bmask[istar]
-            & ~(1 << a)
-            & host.neighborhood_mask(a, vi)
-            & host.neighborhood_mask(a, vj)
-        )
+        cand = ctx.bmask[istar] & ~(1 << a) & row[vi] & row[vj]
         if cand:
             return (cand & -cand).bit_length() - 1
         # The counting argument says a partner must exist; re-derive it, which
         # either surfaces a C5 or proves the state impossible.
         self.fact(8)
-        nav_i = host.neighborhood_mask(a, vi)
+        nav_i = row[vi]
         k2 = min(x for x in range(4) if x not in (istar, j2))
         for c in mask_vertices(nav_i & ctx.amask[istar]):
             self.aaa_equal(ctx, c, istar, ctx.base[k2], k2)
@@ -653,7 +631,7 @@ class _HalfDegreeAnalyzer:
 
     def certificate(self, ctx: _Ctx) -> StructureCertificate:
         """Build the structure certificate for a base with at most one nonempty B-cell."""
-        host = self.host
+        nbr = self.host.pair_masks
         nonempty = ctx.nonempty
         if not nonempty:
             self.fact(6)
@@ -667,7 +645,7 @@ class _HalfDegreeAnalyzer:
                 target = ctx.nm[i][j]
                 for a in mask_vertices(ctx.amask[i]):
                     for b in mask_vertices(ctx.amask[j]):
-                        if host.neighborhood_mask(a, b) != target:
+                        if nbr[a][b] != target:
                             # raises: its last check is this inequality
                             self.aaa_equal(ctx, a, i, b, j)
         # The other B-cells are empty, so only the A-cell hits can fire.
@@ -689,7 +667,7 @@ class _HalfDegreeAnalyzer:
         for a in bbits:
             m = 1 << a
             for b in bbits:
-                if b != a and host.neighborhood_mask(a, b) == 0:
+                if b != a and nbr[a][b] == 0:
                     m |= 1 << b
             sim[a] = m
         for a in bbits:
@@ -839,6 +817,7 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
     full = (1 << n) - 1
     amask, bmask = _ab_cells(nm)
     name = FACT_NAMES[fact_id]
+    nbr = host.pair_masks
 
     def quad_c5() -> Embedding | None:
         m5 = _first_quad_c5(n, base, nm)
@@ -873,7 +852,7 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
             for j in range(i + 1, 4):
                 for a in mask_vertices(amask[i]):
                     for b in mask_vertices(amask[j]):
-                        if host.neighborhood_mask(a, b) != nm[i][j]:
+                        if nbr[a][b] != nm[i][j]:
                             return FactReport(fact_id, name, ambient, False, (a, b))
         return FactReport(fact_id, name, ambient, True)
 
@@ -888,7 +867,7 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
                 for jj in range(4):
                     if jj == i:
                         continue
-                    nav = host.neighborhood_mask(a, base[jj])
+                    nav = nbr[a][base[jj]]
                     for kk in range(4):
                         if kk in (i, jj):
                             continue
@@ -946,7 +925,7 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
             members = mask_vertices(amask[j])
             for x in range(len(members)):
                 for y in range(x + 1, len(members)):
-                    if host.neighborhood_mask(members[x], members[y]):
+                    if nbr[members[x]][members[y]]:
                         return FactReport(
                             fact_id, name, True, False, (members[x], members[y])
                         )
@@ -957,7 +936,7 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
             if j == i:
                 continue
             for a in range(n):
-                empty = host.neighborhood_mask(a, base[j]) == 0
+                empty = nbr[a][base[j]] == 0
                 member = bool(amask[j] >> a & 1)
                 if empty != member:
                     return FactReport(fact_id, name, True, False, (a, base[j]))
@@ -968,12 +947,7 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
             for j in range(4):
                 if j == i:
                     continue
-                cand = (
-                    bmask[i]
-                    & ~(1 << a)
-                    & host.neighborhood_mask(a, base[i])
-                    & host.neighborhood_mask(a, base[j])
-                )
+                cand = bmask[i] & ~(1 << a) & nbr[a][base[i]] & nbr[a][base[j]]
                 if not cand:
                     return FactReport(fact_id, name, True, False, (a, base[j]))
         return FactReport(fact_id, name, True, True)
@@ -994,7 +968,7 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
     # fact_id == 10
     members = mask_vertices(bmask[i])
     empty = {
-        (a, b): host.neighborhood_mask(a, b) == 0 for a in members for b in members if a != b
+        (a, b): nbr[a][b] == 0 for a in members for b in members if a != b
     }
     for a in members:
         for b in members:

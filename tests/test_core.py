@@ -19,6 +19,8 @@ from triplesys import (
     known_extremal_value,
     min_codegree,
     min_positive_codegree,
+    parse_hypergraph,
+    serialize_hypergraph,
     write_hypergraph,
 )
 from triplesys import cli
@@ -78,12 +80,33 @@ class TestTripleSystem:
 
     def test_neighborhood_and_codegree(self):
         h = TripleSystem(5, [(0, 1, 2), (0, 1, 3)])
-        assert mask_vertices(h.neighborhood_mask(0, 1)) == (2, 3)
-        assert h.neighborhood_mask(0, 1).bit_count() == 2
-        assert h.neighborhood_mask(1, 0).bit_count() == 2
-        assert mask_vertices(h.neighborhood_mask(0, 0)) == ()
+        nbr = h.pair_masks
+        assert mask_vertices(nbr[0][1]) == (2, 3)
+        assert nbr[0][1].bit_count() == 2
+        assert nbr[1][0].bit_count() == 2
+        assert mask_vertices(nbr[0][0]) == ()
         assert h.has_edge(1, 0, 2)
         assert not h.has_edge(0, 1, 4)
+
+    def test_zero_diagonal_however_built(self):
+        # The witness code reads pair_masks[u][u] as the empty neighborhood of
+        # a pair, so no way of making a host may write the diagonal.
+        host = complete_triple_system(7)
+        state = HostState(TripleSystem(7))
+        for t in itertools.combinations(range(7), 3):
+            state.toggle(t)
+        padded = "n 7\n" + "".join(f"0{u} 0{v} 0{w}\n" for u, v, w in host.edges)
+        hosts = (
+            host,
+            parse_hypergraph(serialize_hypergraph(host)),
+            parse_hypergraph(padded),
+            state.snapshot(),
+            host.relabel((6, 5, 4, 3, 2, 1, 0)),
+            pickle.loads(pickle.dumps(host)),
+        )
+        for h in hosts:
+            assert h == host
+            assert [h.pair_masks[u][u] for u in range(7)] == [0] * 7
 
     def test_relabel(self):
         h = TripleSystem(4, [(0, 1, 2)])
@@ -183,7 +206,7 @@ class TestHostState:
             rebuilt = TripleSystem(n, edges)
             assert state.pair_masks == rebuilt.pair_masks
             assert state.snapshot() == rebuilt
-            codegree = [rebuilt.neighborhood_mask(u, v).bit_count() for u, v in pairs]
+            codegree = [rebuilt.pair_masks[u][v].bit_count() for u, v in pairs]
             hist = [codegree.count(c) for c in range(n - 1)]
             assert state.hist == hist
             delta = min_positive_codegree(rebuilt)

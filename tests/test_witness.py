@@ -27,7 +27,8 @@ from triplesys import (
 )
 from triplesys.fileio import result_to_json
 from triplesys.witness import (
-    FACT_NAMES, _Ctx, _extract_c5_k4free, _FoundC5, _HalfDegreeAnalyzer, _neighbor_matrix,
+    FACT_NAMES, IDX_PAIRS, _c5_from_quad, _Ctx, _extract_c5_k4free, _FoundC5,
+    _HalfDegreeAnalyzer, _neighbor_matrix,
 )
 
 from conftest import random_host, random_host_above
@@ -223,8 +224,9 @@ class TestAnalyzeHalfDegree:
         keep = set(complete_triple_system(12).edges) - set(missing)
         host = TripleSystem(12, keep)
         assert min_positive_codegree(host) == 6
-        assert not host.neighborhood_mask(8, 9) and not host.neighborhood_mask(8, 10)
-        assert host.neighborhood_mask(9, 10)
+        nbr = host.pair_masks
+        assert not nbr[8][9] and not nbr[8][10]
+        assert nbr[9][10]
         exercised = []
         emb = analyze_half_degree(host, on_fact=exercised.append)
         assert validate_embedding(emb) and emb.pattern.name == "c5"
@@ -382,7 +384,7 @@ class TestABCells:
         base = tuple(perm[v] for v in base)
 
         def nbhd(i, j):
-            return frozenset(mask_vertices(host.neighborhood_mask(base[i], base[j])))
+            return frozenset(mask_vertices(host.pair_masks[base[i]][base[j]]))
 
         amask, bmask = _ab_cells(_neighbor_matrix(host, base))
         a_sets, b_sets = [], []
@@ -443,6 +445,37 @@ class TestQuadExtraction:
         edges = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4), (2, 3, 4)]
         host = TripleSystem(5, edges)
         assert _c5_from_quad((0, 1, 2, 3), _neighbor_matrix(host, (0, 1, 2, 3)), 4) is None
+
+
+class TestFourHits:
+    """A fifth vertex in four of the six base-pair neighborhoods closes a C5,
+    for every set of pairs it can meet: the extractors rely on this instead
+    of checking the memberships at run time."""
+
+    K4_BASE = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+    @staticmethod
+    def _hosts(anchor):
+        """The anchor on 0..3 plus vertex 4 in the pair neighborhoods of each
+        set of at least four base pairs."""
+        for bits in range(64):
+            hits = [p for b, p in enumerate(IDX_PAIRS) if bits >> b & 1]
+            if len(hits) >= 4:
+                yield TripleSystem(5, anchor + [(i, j, 4) for i, j in hits])
+
+    def test_k4_anchor(self):
+        hosts = list(self._hosts(self.K4_BASE))
+        assert len(hosts) == 22
+        base = (0, 1, 2, 3)
+        for host in hosts:
+            m = _c5_from_quad(base, _neighbor_matrix(host, base), 4)
+            assert m is not None and validate_embedding(Embedding(C5, host, m)), host.edges
+
+    def test_k4minus_anchor(self):
+        hosts = [h for h in self._hosts(self.K4_BASE[:3]) if is_free(h, K4)]
+        assert len(hosts) == 6
+        for host in hosts:
+            assert validate_embedding(Embedding(C5, host, _extract_c5_k4free(host))), host.edges
 
 
 class TestAnalyzerMachinery:
