@@ -86,9 +86,10 @@ class TripleSystem:
     def _from_masks(cls, nbr) -> "TripleSystem":
         """The host whose pair-mask table is nbr, built without a check.
 
-        nbr must be a table written only as ``flip`` writes, with at most
-        MAX_VERTICES rows; the host takes it over, so the caller must not
-        modify it afterwards.
+        nbr must have at most MAX_VERTICES rows and be a valid table:
+        symmetric, zero on the diagonal, and holding each triple in all three
+        of its pairs or in none, as every table ``flip`` writes does.  The
+        host takes it over, so the caller must not modify it afterwards.
         """
         host = object.__new__(cls)
         host._seal(nbr)
@@ -233,7 +234,9 @@ def construct_complete_k_partite(
     Parts have sizes ceil(n/k) or floor(n/k), larger parts first, with
     vertices assigned in increasing index order; the edges are exactly the
     triples meeting three distinct parts.  The assignment is deterministic
-    so fixtures built from it are byte-stable.
+    so fixtures built from it are byte-stable.  The pair-mask table is
+    written in closed form: a pair inside one part has an empty
+    neighborhood, a pair across two parts every vertex outside both.
     """
     if k < 3:
         raise PreconditionViolated(f"need at least 3 parts, got k={k}")
@@ -241,23 +244,14 @@ def construct_complete_k_partite(
         raise PreconditionViolated(f"need n >= k, got n={n}, k={k}")
     if n > MAX_VERTICES:
         raise PreconditionViolated(f"need n <= {MAX_VERTICES}, got n={n}")
-    big = n % k
-    sizes = [n // k + 1] * big + [n // k] * (k - big)
-    parts: list[tuple[int, ...]] = []
-    start = 0
-    for s in sizes:
-        parts.append(tuple(range(start, start + s)))
-        start += s
-    part_of = [0] * n
-    for i, part in enumerate(parts):
-        for v in part:
-            part_of[v] = i
-    edges = [
-        (u, v, w)
-        for u, v, w in itertools.combinations(range(n), 3)
-        if part_of[u] != part_of[v] and part_of[v] != part_of[w] and part_of[u] != part_of[w]
-    ]
-    return TripleSystem(n, edges), tuple(parts)
+    q, big = divmod(n, k)
+    # part i starts at i*q + min(i, big): the first big parts have q + 1 vertices
+    ends = [i * q + min(i, big) for i in range(k + 1)]
+    parts = tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:]))
+    part_mask = [((1 << len(p)) - 1) << p[0] for p in parts for _ in p]  # per vertex
+    full = (1 << n) - 1
+    nbr = [[0 if mu == mv else full ^ mu ^ mv for mv in part_mask] for mu in part_mask]
+    return TripleSystem._from_masks(nbr), parts
 
 
 #: Families whose extremal value is known in closed form.

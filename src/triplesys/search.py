@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from .core import (
     HostState,
     TripleSystem,
-    _mask_edges,
     construct_complete_k_partite,
     flip,
     known_extremal_value,
@@ -120,12 +119,13 @@ class _Decision:
     """The F-free hosts with min positive co-degree >= k, one top branch at a time.
 
     ``hosts`` chains the two phases, both generators; ``nodes`` counts the
-    work done up to the last host taken.  Skeleton phase: ``live[u]`` holds
-    the pairs at u decided live and ``ndadj[u]`` those not decided dead.
-    Edge phase: ``opened[u][v]`` holds the third vertices of the live pair's
-    triangles not set out, and ``chosen[u][v]`` those of the chosen ones;
-    its undecided triangles are ``opened & ~chosen``.  Both tables change
-    only through core.flip.  Each phase also keeps its ``_lex_ok`` string.
+    work done up to the last host taken, and no other attribute changes:
+    a branch's state is local.  Skeleton phase: ``live[u]`` holds the pairs
+    at u decided live and ``ndadj[u]`` those not decided dead.  Edge phase:
+    ``opened[u][v]`` holds the third vertices of the live pair's triangles
+    not set out, and ``chosen[u][v]`` those of the chosen ones; its
+    undecided triangles are ``opened & ~chosen``.  Both tables change only
+    through core.flip.  Each phase also keeps its ``_lex_ok`` string.
     """
 
     def __init__(self, n: int, pattern: Pattern, k: int):
@@ -135,12 +135,13 @@ class _Decision:
         self.nodes = 0
 
     def hosts(self, top_mask: int):
-        """Yield the edges of the hosts of one top-level pair-state assignment,
-        the live pairs ``top_mask`` marks among the pairs inside the first
-        min(n, 5) vertices, in order.  Up to a relabelling that fixes the top
+        """Yield the hosts of one top-level pair-state assignment, the live
+        pairs ``top_mask`` marks among the pairs inside the first min(n, 5)
+        vertices, in order.  Up to a relabelling that fixes the top
         assignment, every host of the branch is yielded, and the first host
-        is the one the search without lex-leader pruning finds."""
-        n = self.n
+        is the one the search without lex-leader pruning finds.  The edge
+        phase gets the transpositions that fix the top assignment."""
+        n, k = self.n, self.k
         top_pairs = _pairs_within(min(n, 5))
         live = [0] * n
         ndadj = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
@@ -159,16 +160,45 @@ class _Decision:
         index = {p: i for i, p in enumerate(rest)}
         # the transpositions that fix the top assignment: rows a and b
         # agree in both tables off the pair {a, b}
-        self.top_fixing = [
+        top_fixing = [
             (a, b)
             for a, b in _pairs_within(n)
             if not (live[a] ^ live[b] | ndadj[a] ^ ndadj[b]) & ~(1 << a | 1 << b)
         ]
-        self.rest_swaps = [
-            _moved_pairs(rest, index, a, b) for a, b in self.top_fixing if b == a + 1
-        ]
-        for skeleton in self._skeletons(live, ndadj, rest, 0, 0):
-            yield from self._edge_phase(skeleton)
+        rest_swaps = [_moved_pairs(rest, index, a, b) for a, b in top_fixing if b == a + 1]
+
+        def skeletons(idx, ones):
+            """Yield ``live``, changed in place, at each complete skeleton with
+            a live pair; ``ones`` marks the live ones of rest[:idx]."""
+            self.nodes += 1
+            if idx == len(rest):
+                if any(live):
+                    yield live
+                return
+            u, v = rest[idx]
+            decided = (2 << idx) - 1
+            # live first: solution-bearing skeletons are dense
+            if (ndadj[u] & ndadj[v]).bit_count() >= k:
+                live[u] |= 1 << v
+                live[v] |= 1 << u
+                if self._lex_ok(rest_swaps, ones | 1 << idx, decided):
+                    yield from skeletons(idx + 1, ones | 1 << idx)
+                live[u] &= ~(1 << v)
+                live[v] &= ~(1 << u)
+            # Killing {u, v} shrinks only the candidates of live pairs at u or v.
+            ndadj[u] &= ~(1 << v)
+            ndadj[v] &= ~(1 << u)
+            if (
+                self._live_ok(live, ndadj, u)
+                and self._live_ok(live, ndadj, v)
+                and self._lex_ok(rest_swaps, ones, decided)
+            ):
+                yield from skeletons(idx + 1, ones)
+            ndadj[u] |= 1 << v
+            ndadj[v] |= 1 << u
+
+        for skeleton in skeletons(0, 0):
+            yield from self._edge_phase(skeleton, top_fixing)
 
     def _live_ok(self, live, ndadj, u) -> bool:
         """Every live pair at u keeps k candidate third vertices."""
@@ -190,41 +220,12 @@ class _Decision:
                     break
         return True
 
-    def _skeletons(self, live, ndadj, rest, idx, ones):
-        """Yield ``live``, changed in place, at each complete skeleton with a
-        live pair; ``ones`` marks the live ones of the first idx pairs of rest."""
-        self.nodes += 1
-        if idx == len(rest):
-            if any(live):
-                yield live
-            return
-        u, v = rest[idx]
-        decided = (2 << idx) - 1
-        # live first: solution-bearing skeletons are dense
-        if (ndadj[u] & ndadj[v]).bit_count() >= self.k:
-            live[u] |= 1 << v
-            live[v] |= 1 << u
-            if self._lex_ok(self.rest_swaps, ones | 1 << idx, decided):
-                yield from self._skeletons(live, ndadj, rest, idx + 1, ones | 1 << idx)
-            live[u] &= ~(1 << v)
-            live[v] &= ~(1 << u)
-        # Killing {u, v} shrinks only the candidates of live pairs at u or v.
-        ndadj[u] &= ~(1 << v)
-        ndadj[v] &= ~(1 << u)
-        if (
-            self._live_ok(live, ndadj, u)
-            and self._live_ok(live, ndadj, v)
-            and self._lex_ok(self.rest_swaps, ones, decided)
-        ):
-            yield from self._skeletons(live, ndadj, rest, idx + 1, ones)
-        ndadj[u] |= 1 << v
-        ndadj[v] |= 1 << u
-
-    def _edge_phase(self, live):
-        """Yield the edges of every host inside the live skeleton whose
-        triangle bit string no transposition fixing the skeleton and the
-        top assignment maps to a lex-greater one: every live pair gets k of
-        its triangles, dead pairs none, and no pattern copy completes."""
+    def _edge_phase(self, live, fixing):
+        """Yield every host inside the live skeleton whose triangle bit string
+        no transposition of ``fixing`` that fixes the skeleton maps to a
+        lex-greater one: every live pair gets k of its triangles, dead pairs
+        none, and no pattern copy completes.  ``fixing`` lists transpositions
+        (a, b), a < b; the ones that move the skeleton are dropped here."""
         n, k, pattern = self.n, self.k, self.pattern
         # triangles of the skeleton in lexicographic order
         tris = [
@@ -236,7 +237,7 @@ class _Decision:
         position = {t: i for i, t in enumerate(tris)}
         swaps = [
             _moved_pairs(tris, position, a, b)
-            for a, b in self.top_fixing
+            for a, b in fixing
             if not (live[a] ^ live[b]) & ~(1 << a | 1 << b)
         ]
         opened = [[live[u] & live[v] for v in range(n)] for u in range(n)]  # read at live pairs
@@ -277,7 +278,7 @@ class _Decision:
             while i < len(tris) and chosen[tris[i][0]][tris[i][1]] >> tris[i][2] & 1:
                 i += 1
             if i == len(tris):
-                yield _mask_edges(chosen)
+                yield TripleSystem._from_masks([row[:] for row in chosen])
                 return
             mark, string = len(trail), (ones, decided)
             for step in (set_in, set_out):
@@ -294,8 +295,7 @@ def _run_branch(args):
     """Worker entry point: one top-level branch of one decision run."""
     n, pattern_name, k, top_mask = args
     dec = _Decision(n, pattern_by_name(pattern_name), k)
-    edges = next(dec.hosts(top_mask), None)
-    return edges, dec.nodes
+    return next(dec.hosts(top_mask), None), dec.nodes
 
 
 def _catalog_pattern(pattern: Pattern | str, task: str) -> Pattern:
@@ -323,19 +323,20 @@ def decide_exists(n: int, pattern: Pattern, k: int, pool=None):
     """F-free host with min positive co-degree >= k, or None, plus node count.
 
     Maps the top branches over the executor ``pool``, or runs them in this
-    process when it is None.  The result (host and count) does not depend on
-    the pool: branches are combined in their canonical order and counted up
-    to the first success, exactly as a sequential run would.  A worker gets
-    only the pattern's name, so PreconditionViolated is raised unless
-    ``pattern`` is the catalog's pattern of that name and n is in range.
+    process when it is None; a worker returns its branch's first host whole,
+    pickled as its pair-mask table.  The result does not depend on the pool:
+    branches are combined in their canonical order and counted up to the
+    first success, exactly as a sequential run would.  A worker gets only
+    the pattern's name, so PreconditionViolated is raised unless ``pattern``
+    is the catalog's pattern of that name and n is in range.
     """
     pattern = _check_exact_input(n, pattern)
     branch_args = [(n, pattern.name, k, mask) for mask in _TOP_MASKS[min(n, 5)]]
     nodes = 0
-    for edges, branch_nodes in (map if pool is None else pool.map)(_run_branch, branch_args):
+    for host, branch_nodes in (map if pool is None else pool.map)(_run_branch, branch_args):
         nodes += branch_nodes
-        if edges is not None:
-            return TripleSystem(n, edges), nodes
+        if host is not None:
+            return host, nodes
     return None, nodes
 
 

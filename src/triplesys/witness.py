@@ -512,10 +512,10 @@ class _HalfDegreeAnalyzer:
                 "cross-pair neighborhood differs although both derived bases verified", state
             )
 
-    def exclusion_sweep(self, ctx: _Ctx, positions) -> None:
-        """Apex exclusion for the B-cells at ``positions``.
+    def exclusion_sweep(self, ctx: _Ctx) -> None:
+        """Apex exclusion for every B-cell, in position order.
 
-        For each member a of such a B-cell and each other base vertex, the
+        For each member a of a B-cell and each other base vertex, the
         pair neighborhood N(a, v_jj) must miss every cell at a third
         position: a hit in a B-cell is a C5, and a hit in an A-cell becomes
         a C5 or an impossible state once the cross-pair equality is re-derived.
@@ -523,7 +523,7 @@ class _HalfDegreeAnalyzer:
         """
         self.fact(5)
         nbr = self.host.pair_masks
-        for i in positions:
+        for i in range(4):
             for a in mask_vertices(ctx.bmask[i]):
                 for jj in range(4):
                     if jj == i:
@@ -543,7 +543,7 @@ class _HalfDegreeAnalyzer:
 
     def two_nonempty_hunt(self, ctx: _Ctx):
         """At least two nonempty B-cells: a C5 must surface; never returns."""
-        self.exclusion_sweep(ctx, range(4))
+        self.exclusion_sweep(ctx)
         raise InternalContradiction(
             "two nonempty B-cells but every exclusion check passed",
             {
@@ -648,8 +648,8 @@ class _HalfDegreeAnalyzer:
                         if nbr[a][b] != target:
                             # raises: its last check is this inequality
                             self.aaa_equal(ctx, a, i, b, j)
-        # The other B-cells are empty, so only the A-cell hits can fire.
-        self.exclusion_sweep(ctx, (istar,))
+        # Only B-cell istar is nonempty, so only its members' A-cell hits can fire.
+        self.exclusion_sweep(ctx)
         # Empty pairs inside each balanced A-cell
         self.fact(6)
         for j in range(4):
@@ -875,12 +875,11 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
                         if hit:
                             w = (hit & -hit).bit_length() - 1
                             c5 = None
-                            if nav & bmask[kk]:
-                                b = (nav & bmask[kk]) & -(nav & bmask[kk])
-                                b = b.bit_length() - 1
-                                emb = Embedding(C5, host, (a, base[i], base[kk], b, base[jj]))
-                                if validate_embedding(emb):
-                                    c5 = emb
+                            hit_b = nav & bmask[kk]
+                            if hit_b:
+                                # a is in B_i and b in B_kk and N(a, v_jj): the map closes
+                                b = (hit_b & -hit_b).bit_length() - 1
+                                c5 = _validated(host, C5, (a, base[i], base[kk], b, base[jj]))
                             return FactReport(
                                 fact_id, name, ambient, False, (a, base[jj], w), c5
                             )

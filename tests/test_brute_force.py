@@ -130,8 +130,8 @@ def test_every_host_at_six_is_a_relabelling_of_a_yielded_one(name):
         brute = _members(free & _codegree_sets(6, k))
         yielded = set()
         for mask in search._TOP_MASKS[5]:
-            for edges in search._Decision(6, pattern, k).hosts(mask):
-                e = _edge_set(6, edges)
+            for host in search._Decision(6, pattern, k).hosts(mask):
+                e = _edge_set(6, host.edges)
                 assert e in brute, f"k={k} mask={mask}"
                 yielded.add(e)
         assert _relabellings(6, yielded) == brute, f"k={k}"

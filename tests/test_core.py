@@ -103,6 +103,7 @@ class TestTripleSystem:
             state.snapshot(),
             host.relabel((6, 5, 4, 3, 2, 1, 0)),
             pickle.loads(pickle.dumps(host)),
+            construct_complete_k_partite(7, 7)[0],  # seven singleton parts
         )
         for h in hosts:
             assert h == host
@@ -224,7 +225,34 @@ class TestHostState:
         assert state.score() == (0, 0)
 
 
+def reference_k_partite(n, k):
+    """The construction by enumeration: balanced parts, larger first, in index
+    order, and every triple that meets three distinct parts, through the
+    checking constructor."""
+    big = n % k
+    sizes = [n // k + 1] * big + [n // k] * (k - big)
+    parts, start = [], 0
+    for size in sizes:
+        parts.append(tuple(range(start, start + size)))
+        start += size
+    part_of = {v: i for i, part in enumerate(parts) for v in part}
+    edges = [
+        t for t in itertools.combinations(range(n), 3) if len({part_of[v] for v in t}) == 3
+    ]
+    return TripleSystem(n, edges), tuple(parts)
+
+
 class TestConstruction:
+    def test_matches_the_enumeration_up_to_sixteen(self):
+        # host equality compares the pair-mask tables, diagonal included
+        for n in range(3, 17):
+            for k in range(3, n + 1):
+                assert construct_complete_k_partite(n, k) == reference_k_partite(n, k), (n, k)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 63, 64])
+    def test_matches_the_enumeration_at_sixty_four(self, k):
+        assert construct_complete_k_partite(64, k) == reference_k_partite(64, k)
+
     def test_three_parts_of_six(self):
         host, parts = construct_complete_k_partite(6, 3)
         assert parts == ((0, 1), (2, 3), (4, 5))

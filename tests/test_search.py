@@ -141,13 +141,12 @@ class TestDecision:
         monkeypatch.setattr(search, "embeds_through_edge", recording)
         seen = set()
         for i, mask in enumerate(search._TOP_MASKS[5]):
-            for edges in search._Decision(6, pattern, k).hosts(mask):
-                host = TripleSystem(6, edges)
+            for host in search._Decision(6, pattern, k).hosts(mask):
                 assert naive_find_embedding(host, pattern) is None, f"branch {i}"
                 assert (scan_min_positive_codegree(host) or 0) >= k, f"branch {i}"
-                assert edges not in seen, f"branch {i} repeats a host"
-                assert passed.issuperset(edges), f"branch {i} skips a pattern check"
-                seen.add(edges)
+                assert host not in seen, f"branch {i} repeats a host"
+                assert passed.issuperset(host.edges), f"branch {i} skips a pattern check"
+                seen.add(host)
         # No 6-vertex host of these patterns reaches co-degree 3.  With
         # lex-leader pruning in both phases a branch yields only the hosts
         # that no transposition fixing their skeleton and the top
@@ -194,9 +193,27 @@ class TestDecision:
                 for perm in itertools.permutations(range(5))
                 if {tuple(sorted((perm[u], perm[v]))) for u, v in live} == live
             ]
-            for edges in reference:
-                host = TripleSystem(6, edges)
-                assert any(host.relabel(g).edges in pruned for g in stabilizer), f"mask {mask}"
+            for host in reference:
+                assert any(host.relabel(g) in pruned for g in stabilizer), f"mask {mask}"
+
+    @pytest.mark.parametrize("name", ["c5", "f32", "k4minus"])
+    def test_the_edge_phase_takes_its_skeleton_and_transpositions(self, name):
+        # A fresh search runs the edge phase on the complete skeleton at
+        # n = 6, k = 2, which no top branch set up: unpruned, and pruned by
+        # every transposition, which all fix that skeleton.
+        pattern = pattern_by_name(name)
+        dec = search._Decision(6, pattern, 2)
+        live = [0b111111 & ~(1 << u) for u in range(6)]
+        reference = list(dec._edge_phase(live, []))
+        pruned = set(dec._edge_phase(live, search._pairs_within(6)))
+        assert len(set(reference)) == len(reference) and pruned <= set(reference)
+        for host in reference:
+            assert naive_find_embedding(host, pattern) is None
+            assert all(m.bit_count() >= 2 for u, row in enumerate(host.pair_masks)
+                       for m in row[u + 1:])
+            assert any(host.relabel(g) in pruned for g in itertools.permutations(range(6)))
+        # the branch state lives in locals: only the node count changed
+        assert vars(dec) == {"n": 6, "pattern": pattern, "k": 2, "nodes": dec.nodes}
 
     def test_the_first_host_is_the_one_decide_exists_returns(self):
         pattern = pattern_by_name("c5")
@@ -206,7 +223,7 @@ class TestDecision:
             if first is not None:
                 break
         host, nodes = decide_exists(6, pattern, 2)
-        assert host == TripleSystem(6, first)
+        assert host == first
         assert nodes == dec.nodes
 
 

@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,8 +29,8 @@ from triplesys import (
 )
 from triplesys.fileio import result_to_json
 from triplesys.witness import (
-    FACT_NAMES, IDX_PAIRS, _c5_from_quad, _Ctx, _extract_c5_k4free, _FoundC5,
-    _HalfDegreeAnalyzer, _neighbor_matrix,
+    FACT_NAMES, IDX_PAIRS, _ab_cells, _c5_from_quad, _Ctx, _extract_c5_k4free, _fifth_vertex,
+    _FoundC5, _HalfDegreeAnalyzer, _k4minus_base, _neighbor_matrix,
 )
 
 from conftest import random_host, random_host_above
@@ -118,10 +120,23 @@ class TestFindC5Witness:
 
 
 class TestK4FreeExtraction:
+    """The extractor branches on the apex hits of the fifth vertex: how many
+    of the three neighborhoods through the apex of the anchor that
+    _k4minus_base picks contain it.  That anchor is the least 3-of-4
+    configuration, not the one (0, 1, 2, 3) the hosts are written around."""
+
+    @staticmethod
+    def _apex_hits(host):
+        base = _k4minus_base(host)
+        nm = _neighbor_matrix(host, base)
+        v5 = _fifth_vertex(host.n, base, nm, 4)
+        return sum(nm[0][t] >> v5 & 1 for t in (1, 2, 3))
+
     @pytest.mark.parametrize("hit_pair", [(1, 2), (1, 3), (2, 3)])
-    def test_two_apex_neighborhoods(self, hit_pair):
-        # K4-free; the fifth vertex lies in two apex neighborhoods and in both
-        # neighborhoods through the remaining anchor vertex.
+    def test_fifth_vertex_in_one_apex_neighborhood(self, hit_pair):
+        # K4-free; vertex 4 lies in N(0, x), N(0, y), N(x, z) and N(y, z).  The
+        # anchor contains vertex 4, such as (1, 0, 3, 4) for (x, y) = (1, 2),
+        # and its fifth vertex lies in one apex neighborhood.
         x, y = hit_pair
         z = 6 - x - y
         edges = [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
@@ -129,15 +144,20 @@ class TestK4FreeExtraction:
         edges += [tuple(sorted((x, z, 4))), tuple(sorted((y, z, 4)))]
         host = TripleSystem(6, edges)
         assert is_free(host, K4)
+        assert self._apex_hits(host) == 1
         emb = Embedding(C5, host, _extract_c5_k4free(host))
         assert validate_embedding(emb)
 
     @pytest.mark.parametrize("hit", [1, 2, 3])
-    def test_one_apex_neighborhood(self, hit):
+    def test_fifth_vertex_in_two_apex_neighborhoods(self, hit):
+        # K4-free; vertex 4 lies in N(0, hit) and the three pairs of {1, 2, 3}.
+        # The anchor has apex hit and contains vertex 4, such as (1, 0, 2, 4)
+        # for hit 1, and its fifth vertex lies in two apex neighborhoods.
         edges = [(0, 1, 2), (0, 1, 3), (0, 2, 3), tuple(sorted((0, hit, 4)))]
         edges += [(1, 2, 4), (1, 3, 4), (2, 3, 4)]
         host = TripleSystem(6, edges)
         assert is_free(host, K4)
+        assert self._apex_hits(host) == 2
         emb = Embedding(C5, host, _extract_c5_k4free(host))
         assert validate_embedding(emb)
 
@@ -417,6 +437,43 @@ class TestABCells:
             for j in range(4):
                 assert len(a_sets[j]) == ctx.qdiff + (r0 if j == istar else 0)
             assert host.n == 4 * ctx.qdiff + 2 * r0
+
+
+class TestCertificateVerify:
+    def test_two_nonempty_b_cells_fail_at_their_count(self):
+        # The true cells of a planted base with |B_0| = |B_1| = 2 partition
+        # the twelve vertices, so verify passes the sum and union checks and
+        # the cell comparisons, and must return at the nonempty-B count.
+        host = _planted_cells_host(1, (2, 2, 0, 0), random.Random(0))
+        base = (0, 1, 2, 3)
+        amask, bmask = _ab_cells(_neighbor_matrix(host, base))
+        cert = StructureCertificate(
+            host, base,
+            tuple(frozenset(mask_vertices(m)) for m in amask),
+            tuple(frozenset(mask_vertices(m)) for m in bmask),
+            q=1, r0=2, classes=(), pairing=(),
+        )
+        assert [len(b) for b in cert.b_sets] == [2, 2, 0, 0]
+        lines, first = inspect.getsourcelines(StructureCertificate.verify)
+        check = first + next(i for i, line in enumerate(lines) if "len(nonempty) > 1" in line)
+        code = StructureCertificate.verify.__code__
+        returns = []
+
+        def trace(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+            if event == "return":
+                returns.append(frame.f_lineno)
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            verified = cert.verify()
+        finally:
+            sys.settrace(previous)
+        assert verified is False
+        assert returns == [check + 1]  # the return False under that check
 
 
 class TestQuadExtraction:
