@@ -26,7 +26,7 @@ class InternalContradiction(TripleSysError):
         super().__init__(message)
         self.state = dict(state) if state else {}
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         base = super().__str__()
         if not self.state:
             return base

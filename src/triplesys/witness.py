@@ -90,8 +90,11 @@ class StructureCertificate:
 
     def verify(self) -> bool:
         """Re-check every invariant from scratch; True iff all hold.  A base
-        that is not four distinct host vertices spanning a K4, or other than
-        four A-cells and four B-cells, gives False rather than an error."""
+        other than four distinct int host vertices spanning a K4, other than
+        four A- and four B-cells, a class member other than an int, or a
+        pairing entry other than a tuple of two int class indices gives False,
+        not an error.  Not checked, as cells equal to a K4 base's imply them:
+        each base vertex is in its own A-cell, and a nonempty B-cell has r0 > 0."""
         host, base = self.host, self.base
         n = host.n
         nm = _k4_matrix(host, base)
@@ -100,18 +103,13 @@ class StructureCertificate:
         cells = list(self.a_sets) + list(self.b_sets)
         if sum(len(c) for c in cells) != n:
             return False
-        union: set[int] = set()
-        for c in cells:
-            union |= c
-        if union != set(range(n)):
+        if set().union(*cells) != set(range(n)):
             return False
         amask, bmask = _ab_cells(nm)
         for i in range(4):
             if self.a_sets[i] != frozenset(mask_vertices(amask[i])):
                 return False
             if self.b_sets[i] != frozenset(mask_vertices(bmask[i])):
-                return False
-            if base[i] not in self.a_sets[i]:
                 return False
         nonempty = [i for i in range(4) if self.b_sets[i]]
         if len(nonempty) > 1:
@@ -123,7 +121,7 @@ class StructureCertificate:
                 return False
         else:
             i = nonempty[0]
-            if self.r0 != len(self.b_sets[i]) or self.r0 == 0:
+            if self.r0 != len(self.b_sets[i]):
                 return False
             if any(len(self.a_sets[j]) != self.q for j in range(4) if j != i):
                 return False
@@ -131,7 +129,7 @@ class StructureCertificate:
                 return False
             covered: set[int] = set()
             for cls in self.classes:
-                if not cls or covered & cls:
+                if not cls or covered & cls or any(type(v) is not int for v in cls):
                     return False
                 covered |= cls
             if covered != self.b_sets[i]:
@@ -148,15 +146,17 @@ class StructureCertificate:
                             if not nbr[a][b]:
                                 return False
             seen: set[int] = set()
-            for x, y in self.pairing:
-                if x == y or x in seen or y in seen:
+            indices = range(len(self.classes))
+            for entry in self.pairing:
+                if not (isinstance(entry, tuple) and len(entry) == 2):
                     return False
-                if not 0 <= x < len(self.classes) or not 0 <= y < len(self.classes):
+                x, y = entry
+                if type(x) is not int or type(y) is not int or x == y or seen & {x, y}:
                     return False
-                if len(self.classes[x]) != len(self.classes[y]):
+                if x not in indices or y not in indices or len(self.classes[x]) != len(self.classes[y]):
                     return False
                 seen |= {x, y}
-            if seen != set(range(len(self.classes))):
+            if seen != set(indices):
                 return False
         if n != 4 * self.q + 2 * self.r0:
             return False
@@ -186,9 +186,11 @@ def _ab_cells(nm) -> tuple[list[int], list[int]]:
 
 
 def _k4_matrix(host: TripleSystem, base):
-    """The base's neighbor matrix, or None unless ``base`` is four distinct host
-    vertices spanning a K4 ({b_i, b_j, b_k} is an edge iff b_k is in N(b_i, b_j))."""
-    if len(base) != 4 or len(set(base)) != 4 or not all(0 <= v < host.n for v in base):
+    """The base's neighbor matrix, or None unless ``base`` is four distinct int
+    host vertices spanning a K4: {b_i, b_j, b_k} is an edge iff b_k is in N(b_i, b_j)."""
+    if len(base) != 4 or len(set(base)) != 4:
+        return None
+    if not all(type(v) is int and 0 <= v < host.n for v in base):
         return None
     nm = _neighbor_matrix(host, base)
     k4 = nm[0][1] >> base[2] & nm[0][1] >> base[3] & nm[2][3] >> base[0] & nm[2][3] >> base[1]
@@ -203,11 +205,11 @@ def _outside(n: int, base) -> int:
     return m
 
 
-def _fifth_vertex(n: int, base, nm, h: int) -> int | None:
-    """The least vertex outside the base in at least h of the six base-pair
-    neighborhoods, or None: the extractors' scan for the fifth vertex."""
+def _fifth_vertex(n: int, base, nm, h: int, pairs=IDX_PAIRS) -> int | None:
+    """The least vertex outside the base in at least h of the neighborhoods of
+    ``pairs`` (base positions, all six by default), or None: every extractor's scan."""
     for v5 in mask_vertices(_outside(n, base)):
-        if sum(nm[i][j] >> v5 & 1 for i, j in IDX_PAIRS) >= h:
+        if sum(nm[i][j] >> v5 & 1 for i, j in pairs) >= h:
             return v5
     return None
 
@@ -293,22 +295,21 @@ def find_c5minus_witness(host: TripleSystem) -> Embedding:
     nm = _neighbor_matrix(host, base)
     if not host.has_edge(base[1], base[2], base[3]):
         # Case 1: pivot v2 = base[1]; the three sets through it.
-        sets = (nm[1][0], nm[1][2], nm[1][3])
-        for v5 in mask_vertices(_outside(host.n, base)):
-            flags = tuple(s >> v5 & 1 for s in sets)
-            if sum(flags) < 2:
-                continue
-            if flags[0] and flags[1]:
-                m = (base[2], base[3], base[0], base[1], v5)
-            elif flags[0] and flags[2]:
-                m = (base[3], base[2], base[0], base[1], v5)
-            else:
-                m = (base[3], base[0], base[2], base[1], v5)
-            return _validated(host, C5MINUS, m)
-        raise InternalContradiction(
-            "no fifth vertex in two of the pivot neighborhoods",
-            {"base": base, "sets": [mask_vertices(s) for s in sets], "delta": delta},
-        )
+        pivot = ((1, 0), (1, 2), (1, 3))
+        v5 = _fifth_vertex(host.n, base, nm, 2, pivot)
+        if v5 is None:
+            raise InternalContradiction(
+                "no fifth vertex in two of the pivot neighborhoods",
+                {"base": base, "sets": [mask_vertices(nm[i][j]) for i, j in pivot], "delta": delta},
+            )
+        in0, in2, in3 = (nm[i][j] >> v5 & 1 for i, j in pivot)
+        if in0 and in2:
+            m = (base[2], base[3], base[0], base[1], v5)
+        elif in0 and in3:
+            m = (base[3], base[2], base[0], base[1], v5)
+        else:
+            m = (base[3], base[0], base[2], base[1], v5)
+        return _validated(host, C5MINUS, m)
     # Case 2: the anchor is a full K4.
     v5 = _fifth_vertex(host.n, base, nm, 2)
     if v5 is None:
@@ -347,9 +348,9 @@ def _extract_c5_k4free(host: TripleSystem) -> tuple[int, ...]:
 
     Anchors a 3-of-4 configuration, takes the least fifth vertex in four of
     the six base-pair neighborhoods, and branches on how many of the three
-    apex neighborhoods contain it: one or two, since only three pairs avoid
-    the apex and all three is impossible in a K4-free host.  Four hits then
-    fix the other memberships the cycle uses.
+    apex neighborhoods contain it: one or two.  The comments say why no other
+    state occurs once a caller has found no K4, as both do; a wrong map would
+    still fail their _validated.  Four hits then fix the cycle's memberships.
     """
     base = _k4minus_base(host)
     nm = _neighbor_matrix(host, base)
@@ -359,18 +360,13 @@ def _extract_c5_k4free(host: TripleSystem) -> tuple[int, ...]:
             "no fifth vertex in four of the six base neighborhoods",
             {"base": base, **_set_state(base, nm)},
         )
-    # at least one hit: only three of the six pairs avoid the apex
+    # At least one hit: only three of the six pairs avoid the apex.  Not three:
+    # the fourth hit N(v_x, v_y) would make {v_0, v_x, v_y, v5} a K4.
     apex_hits = [t for t in (1, 2, 3) if nm[0][t] >> v5 & 1]
-    state = {"base": base, "v5": v5, "apex_hits": apex_hits, **_set_state(base, nm)}
-    if len(apex_hits) == 3:
-        raise InternalContradiction(
-            "fifth vertex in all apex neighborhoods of a K4-free host", state
-        )
     if len(apex_hits) == 2:
         x, y = apex_hits
         z = 6 - x - y
-        if nm[x][y] >> v5 & 1:
-            raise InternalContradiction("hidden K4 in a host reported K4-free", state)
+        # not N(v_x, v_y), which would close the K4 {v_0, v_x, v_y, v5}; so
         # the other two hits are N(v_x, v_z) and N(v_y, v_z)
         return (base[z], v5, base[y], base[0], base[x])
     # the other three hits are the three pairs that avoid the apex
@@ -635,7 +631,7 @@ class _HalfDegreeAnalyzer:
         nonempty = ctx.nonempty
         if not nonempty:
             self.fact(6)
-            return self._emit(ctx, ctx.qdiff, 0, (), ())
+            return self._emit(ctx, 0, (), ())
         istar = nonempty[0]
         r0 = ctx.bmask[istar].bit_count()
         # Cross-pair neighborhood sweep
@@ -690,32 +686,23 @@ class _HalfDegreeAnalyzer:
         for ci, cmask in enumerate(class_masks):
             v5 = (cmask & -cmask).bit_length() - 1
             sctx = self.secondary_ctx(ctx, istar, j2, v5)
-            v6 = sctx.base[3]
-            a5s = sctx.amask[2]
-            a6s = sctx.amask[3]
-            if a5s & ~ctx.bmask[istar] or a6s & ~ctx.bmask[istar]:
+            if (sctx.amask[2] | sctx.amask[3]) & ~ctx.bmask[istar]:
                 raise InternalContradiction(
                     "secondary A-cell leaves the primary B-cell",
                     {"secondary_base": sctx.base, "primary_base": ctx.base},
                 )
-            for a in mask_vertices(a5s & ~cmask):
-                # raises: a is a B-cell member outside sim[v5], so N(a, v5) is nonempty
-                self.ensure_pair_empty(sctx, a, v5, 2)
-            if cmask != a5s:
-                raise InternalContradiction(
-                    "class does not match the secondary A-cell",
-                    {"class": mask_vertices(cmask), "a5s": mask_vertices(a5s)},
-                )
-            fmask = sim[v6]
-            for a in mask_vertices(a6s & ~fmask):
-                # raises: a is a B-cell member outside sim[v6], so N(a, v6) is nonempty
-                self.ensure_pair_empty(sctx, a, v6, 3)
-            if fmask != a6s:
-                raise InternalContradiction(
-                    "partner class does not match the secondary A-cell",
-                    {"class": mask_vertices(fmask), "a6s": mask_vertices(a6s)},
-                )
-            f[ci] = class_masks.index(fmask)
+            # the A-cells at v5 and its K4 partner v6 are their classes; sim[v5] is cmask
+            for pos, what, key in ((2, "class", "a5s"), (3, "partner class", "a6s")):
+                v, acell = sctx.base[pos], sctx.amask[pos]
+                for a in mask_vertices(acell & ~sim[v]):
+                    # raises: a is a B-cell member outside sim[v], so N(a, v) is nonempty
+                    self.ensure_pair_empty(sctx, a, v, pos)
+                if sim[v] != acell:
+                    raise InternalContradiction(
+                        f"{what} does not match the secondary A-cell",
+                        {"class": mask_vertices(sim[v]), key: mask_vertices(acell)},
+                    )
+            f[ci] = class_masks.index(sim[sctx.base[3]])
         for ci, cj in f.items():
             if ci == cj or f[cj] != ci or class_masks[ci].bit_count() != class_masks[cj].bit_count():
                 raise InternalContradiction(
@@ -724,7 +711,7 @@ class _HalfDegreeAnalyzer:
                 )
         pairing = tuple(sorted((min(ci, cj), max(ci, cj)) for ci, cj in f.items() if ci < cj))
         classes = tuple(frozenset(mask_vertices(m)) for m in class_masks)
-        return self._emit(ctx, ctx.qdiff, r0, classes, pairing)
+        return self._emit(ctx, r0, classes, pairing)
 
     def _transitivity(self, ctx: _Ctx, istar: int, j2: int, v5: int, v7: int, v8: int):
         """Transitivity failed literally: surface the C5 it implies; never returns.
@@ -739,13 +726,13 @@ class _HalfDegreeAnalyzer:
             )
         self.ensure_pair_empty(sctx, v7, v8, 2)  # raises: N(v7, v8) is nonempty
 
-    def _emit(self, ctx: _Ctx, q: int, r0: int, classes, pairing) -> StructureCertificate:
+    def _emit(self, ctx: _Ctx, r0: int, classes, pairing) -> StructureCertificate:
         cert = StructureCertificate(
             host=self.host,
             base=ctx.base,
             a_sets=tuple(frozenset(mask_vertices(m)) for m in ctx.amask),
             b_sets=tuple(frozenset(mask_vertices(m)) for m in ctx.bmask),
-            q=q,
+            q=ctx.qdiff,
             r0=r0,
             classes=classes,
             pairing=pairing,
@@ -753,7 +740,7 @@ class _HalfDegreeAnalyzer:
         if not cert.verify():
             raise InternalContradiction(
                 "assembled certificate failed self-validation",
-                {"base": ctx.base, "q": q, "r0": r0},
+                {"base": ctx.base, "q": ctx.qdiff, "r0": r0},
             )
         return cert
 

@@ -38,6 +38,27 @@ def random_host_above(n: int, threshold: int, rng: random.Random) -> TripleSyste
     return TripleSystem(n, edges)
 
 
+#: Steiner triple systems: the Fano plane on 0..6 (the translates of
+#: {0, 1, 3} mod 7) and the affine plane AG(2, 3) on 0..8, where vertex v is
+#: the point divmod(v, 3) and three distinct points are a line iff they sum
+#: to zero in both coordinates.
+FANO_LINES = tuple(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))) for i in range(7))
+AG23_LINES = tuple(
+    t for t in itertools.combinations(range(9), 3)
+    if all(sum(c) % 3 == 0 for c in zip(*(divmod(v, 3) for v in t)))
+)
+
+
+def steiner_join(lines, n: int) -> TripleSystem:
+    """The Steiner triple system ``lines`` on T = 0..t-1 joined to the
+    independent set S = t..n-1: the STS triples plus every {x, y, a} with x, y
+    in T and a in S.  With t = n/2 + 1 every S-T and T-T pair has co-degree
+    n/2, the pairs inside S none, and the host has no tight 5-cycle."""
+    t = 1 + max(map(max, lines))
+    cross = [(x, y, a) for x, y in itertools.combinations(range(t), 2) for a in range(t, n)]
+    return TripleSystem(n, list(lines) + cross)
+
+
 def scan_min_positive_codegree(host: TripleSystem) -> int | None:
     """Direct per-pair edge scan, independent of the bitmask machinery."""
     best = None

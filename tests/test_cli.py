@@ -12,6 +12,8 @@ from triplesys import cli
 from triplesys.cli import main
 from triplesys.fileio import read_hypergraph, result_from_json
 
+from conftest import FANO_LINES, steiner_join
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -197,6 +199,27 @@ class TestAnalyze:
         assert payload["q"] == 2 and payload["r0"] == 0
         assert all(not b for b in payload["B"])
         assert "fact:" in err  # exercised facts go to stderr
+
+    def test_classes_certificate_of_the_fano_join(self, tmp_path, capsys):
+        # the Fano plane joined to five independent vertices: a nonempty apex
+        # B-cell, so the class and pairing steps run on four secondary bases
+        path = tmp_path / "j12.txt"
+        write_hypergraph(str(path), steiner_join(FANO_LINES, 12))
+        code, stdout, err = run(capsys, "analyze", str(path))
+        assert code == 0
+        payload = json.loads(stdout)
+        assert (payload["kind"], payload["q"], payload["r0"]) == ("structure", 1, 4)
+        assert err.splitlines() == [
+            "fact: pair-codegrees-half",
+            "fact: pairing-complement",
+            "fact: balanced-difference",
+            "fact: cross-pair-neighborhoods",
+            "fact: apex-neighborhood-exclusion",
+            "fact: size-arithmetic",
+            "fact: equivalence-classes",
+            "fact: inherited-nonempty",
+            "fact: empty-pair-characterization",
+        ]
 
     def test_above_half_returns_embedding(self, complete6, capsys):
         code, stdout, _ = run(capsys, "analyze", complete6)

@@ -122,6 +122,7 @@ _TAMPER_ANY = [
     ("base-repeats-a-vertex", lambda c: replace(c, base=c.base[:3] + c.base[2:3])),
     ("base-of-five-entries", lambda c: replace(c, base=c.base + c.base[3:])),
     ("base-outside-the-host", lambda c: replace(c, base=c.base[:3] + (c.host.n,))),
+    ("base-float-vertex", lambda c: replace(c, base=c.base[:3] + (float(c.base[3]),))),
     ("base-not-a-k4", lambda c: replace(c, base=(0, 1, 2, 4))),
     ("three-b-cells", lambda c: replace(c, b_sets=c.b_sets[:3])),
     ("five-a-cells", lambda c: replace(c, a_sets=c.a_sets + (frozenset(),))),
@@ -158,6 +159,11 @@ _TAMPER_ONE_B = [
     ("pairing-repeats-a-class", lambda c: replace(c, pairing=((0, 1), (1, 0)))),
     ("pairing-out-of-range", lambda c: replace(c, pairing=((0, 2),))),
     ("pairing-misses-a-class", lambda c: replace(c, pairing=())),
+    # entries that are not two int class indices, and a member that is not an int
+    ("pairing-entry-of-three", lambda c: replace(c, pairing=((0, 1, 1),))),
+    ("pairing-entry-of-one", lambda c: replace(c, pairing=((0,),))),
+    ("pairing-float-index", lambda c: replace(c, pairing=((0, 1.0),))),
+    ("class-float-member", lambda c: replace(c, classes=(frozenset({10.0}), frozenset({11})))),
 ]
 # For the r0 = 0 certificate, which has no nonempty B-cell.
 _TAMPER_NO_B = [
@@ -303,6 +309,13 @@ class TestCertificateJson:
         ]:
             with pytest.raises(ValueError, match="structure certificate failed validation"):
                 result_from_json(dict(good, **{key: value}), host)
+
+    @pytest.mark.parametrize("pairing", [[[0, 1, 1]], [[0]], [[0, 1.0]]])
+    def test_malformed_pairing_fails_validation(self, pairing):
+        cert = _classes_certificate()
+        data = dict(result_to_json(cert), pairing=pairing)
+        with pytest.raises(ValueError, match="structure certificate failed validation"):
+            result_from_json(data, cert.host)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import triplesys
+from triplesys import InternalContradiction
 
 
 def test_every_exported_name_resolves():
@@ -11,3 +12,9 @@ def test_star_import():
     namespace = {}
     exec("from triplesys import *", namespace)
     assert set(triplesys.__all__) <= namespace.keys()
+
+
+def test_internal_contradiction_lists_its_state_by_key():
+    # what a library caller sees in a traceback when a falsification fires
+    assert str(InternalContradiction("m", {"b": 1, "a": [2]})) == "m [a=[2], b=1]"
+    assert str(InternalContradiction("m")) == "m"

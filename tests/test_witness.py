@@ -23,8 +23,10 @@ from triplesys import (
     find_embedding,
     find_c5minus_witness,
     is_free,
+    known_extremal_value,
     mask_vertices,
     min_positive_codegree,
+    naive_find_embedding,
     validate_embedding,
 )
 from triplesys.fileio import result_to_json
@@ -33,7 +35,10 @@ from triplesys.witness import (
     _FoundC5, _HalfDegreeAnalyzer, _k4minus_base, _neighbor_matrix,
 )
 
-from conftest import random_host, random_host_above
+from conftest import (
+    AG23_LINES, FANO_LINES, random_host, random_host_above, scan_min_positive_codegree,
+    steiner_join,
+)
 
 
 def _without_pair(n, u, v):
@@ -291,12 +296,46 @@ class TestAnalyzeHalfDegree:
         assert certs + cycles > 0
 
 
+class TestSteinerJoin:
+    """The first valid hosts whose boundary certificate has r0 > 0: a Steiner
+    triple system on T = 0..n/2 joined to an independent S.  The base K4
+    takes three T vertices and one S vertex; its apex B-cell is the rest of
+    T, split into r0 singleton classes that the secondary bases pair up."""
+
+    @pytest.mark.parametrize("lines, n", [(FANO_LINES, 12), (AG23_LINES, 16)], ids=["fano", "ag23"])
+    def test_certified_with_singleton_classes(self, lines, n):
+        host = steiner_join(lines, n)
+        assert is_free(host, C5)
+        delta = min_positive_codegree(host)
+        assert delta == scan_min_positive_codegree(host) == known_extremal_value(n, "c5") == n // 2
+        cert = analyze_half_degree(host)
+        assert isinstance(cert, StructureCertificate)
+        assert (cert.q, cert.r0) == (1, n // 2 - 2)
+        assert [len(c) for c in cert.classes] == [1] * cert.r0
+        assert cert.verify()
+        for fact_id in range(1, 11):
+            report = check_fact(host, cert.base, fact_id)
+            assert report.hypothesis_met and report.holds, report
+
+    def test_fano_join_certificate(self):
+        host = steiner_join(FANO_LINES, 12)
+        assert naive_find_embedding(host, C5) is None
+        cert = analyze_half_degree(host)
+        assert cert.base == (0, 1, 3, 7)
+        assert cert.b_sets == (frozenset(), frozenset(), frozenset(), frozenset({2, 4, 5, 6}))
+        assert cert.classes == tuple(frozenset({v}) for v in (2, 4, 5, 6))
+        assert cert.pairing == ((0, 3), (1, 2))
+
+
 class TestCheckFact:
     def test_rejects_non_k4_base(self):
         host, _ = construct_complete_k_partite(8, 4)
         # 0,1 share a part: not a K4; then five entries over four vertices,
-        # the K4 (0, 2, 4, 6) with a repeated vertex, and a vertex outside the host
-        for base in [(0, 1, 2, 3), (0, 1, 2, 3, 3), (0, 2, 4, 6, 6), (0, 2, 4, 4), (0, 2, 4, 8)]:
+        # the K4 (0, 2, 4, 6) with a repeated vertex, a vertex outside the host
+        # and a float vertex
+        for base in [
+            (0, 1, 2, 3), (0, 1, 2, 3, 3), (0, 2, 4, 6, 6), (0, 2, 4, 4), (0, 2, 4, 8), (0, 2, 4, 6.0)
+        ]:
             with pytest.raises(PreconditionViolated, match="spanning a K4"):
                 check_fact(host, base, 1)
 
