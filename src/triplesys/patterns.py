@@ -12,6 +12,15 @@ existence-only queries (is_free and embeds_through_edge) place the most
 constrained vertex first and break the pattern's symmetry group Aut(F).
 embeds_through_edge takes a bare pair-mask table, so the exact and the local
 search run the one through-edge check on the tables they change.
+
+The generated code hoists work out of the inner loops: each pair-mask term of
+a later vertex's candidate mask is ANDed into a partial mask as soon as its
+last operand is placed, and a branch is abandoned once such a partial is
+empty (forward checking).  An earlier vertex is excluded by its own bit only
+where no closing pair or symmetry bound of the position already excludes it.
+Candidates are scanned in ascending host order and a pruned branch has no
+completion, so every query returns the map a plain backtracking search
+returns (tests/conftest.py keeps one as the oracle).
 """
 
 from __future__ import annotations
@@ -185,46 +194,76 @@ def _search_source(plans, pins: int) -> str:
 
     With ``pins`` = 3 it is ``through_check(nbr, edge)``, which pins each
     plan's first three positions to ``edge`` and returns True or False: the
-    pins' closing pairs become one test (shared by consecutive plans with
-    the same test), and the last position one mask test.  With no pins it is
-    ``search(nbr)``, which returns the first map found, or None.  Every
-    other position is a loop over its candidates in ascending host order.
+    pins' closing pairs become one test, shared by consecutive plans with
+    the same test.  With no pins it is ``search(nbr)``, which returns the
+    first map found, or None.  Every other position is a loop over its
+    candidates in ascending host order, except the last: one mask test.
+
+    A position's candidate mask is ANDed together while the earlier
+    positions are placed, each term right after the last position it reads,
+    into a partial mask that starts with its first pair-mask term (or with
+    ``full``, one position ahead).  A loop moves on to its next candidate as
+    soon as a later partial is empty: that branch has no completion.  An
+    earlier vertex is excluded by its own bit, ``~b{k}``, only when no
+    closing pair or ``above`` bound already excludes it (a pair's mask never
+    holds the pair).
     """
     if pins:
         lines = [
             "def through_check(nbr, edge):",
             " " + ", ".join(f"x{i}" for i in range(pins)) + " = edge",
-            f" u{pins - 1} = " + " | ".join(f"1 << x{i}" for i in range(pins)),
+            " " + ", ".join(f"b{i}" for i in range(pins))
+            + " = " + ", ".join(f"1 << x{i}" for i in range(pins)),
         ]
     else:
         lines = ["def search(nbr):"]
     lines.append(" full = (1 << len(nbr)) - 1")
     pinned = ""
     for order, closing, above in plans:
+        p = len(order)
+        steps: dict[int, list] = {}  # depth d: (position, terms) once position d is bound
+        for j in range(pins, p):
+            terms = [(max(pair), f"nbr[x{pair[0]}][x{pair[1]}]") for pair in closing[j]]
+            terms = terms or [(j - 1, "full")]
+            start = max(min(d for d, _ in terms), pins - 1)
+            excluded = {k for pair in closing[j] for k in pair}.union(above[j])
+            terms += [(a, f"-(2 << x{a})") for a in above[j]]
+            terms += [(k, f"~b{k}") for k in range(j) if k not in excluded]
+            for d in range(start, j):
+                got = [t for e, t in terms if max(e, start) == d]
+                if got:
+                    steps.setdefault(d, []).append((j, got))
         test = " and ".join(f"nbr[x{a}][x{b}] >> x{i} & 1" for i in range(pins) for a, b in closing[i])
         if test != pinned:
             pinned = test
             lines.append(f" if {test}:")
         pad = "  " if test else " "
-        for i in range(pins, len(order)):
-            terms = [f"nbr[x{a}][x{b}]" for a, b in closing[i]] or ["full"]
-            terms += [f"-(2 << x{a})" for a in above[i]] + ([f"~u{i - 1}"] if i else [])
-            mask = " & ".join(terms)
-            if pins and i == len(order) - 1:
-                lines.append(f"{pad}if {mask}: return True")
-                break
-            lines += [
-                f"{pad}c{i} = {mask}",
-                f"{pad}while c{i}:",
-                f"{pad} b{i} = c{i} & -c{i}",
-                f"{pad} c{i} ^= b{i}",
-                f"{pad} x{i} = b{i}.bit_length() - 1",
-                f"{pad} u{i} = u{i - 1} | b{i}" if i else f"{pad} u0 = b0",
-            ]
-            pad += " "
-        else:
-            found = "".join(f"x{order.index(v)}, " for v in range(len(order)))
-            lines.append(f"{pad}return " + ("True" if pins else f"({found})"))
+        last = f"(c{p - 1} & -c{p - 1}).bit_length() - 1"
+        images = (f"x{i}" if i < p - 1 else last for i in map(order.index, range(p)))
+        found = "True" if pins else "(" + "".join(f"{x}, " for x in images) + ")"
+        if p == pins:
+            lines.append(f"{pad}return {found}")
+        partial: dict[int, str] = {}
+        for d in range(pins - 1, p - 1):
+            if d >= pins:
+                lines += [
+                    f"{pad}while c{d}:",
+                    f"{pad} b{d} = c{d} & -c{d}",
+                    f"{pad} c{d} ^= b{d}",
+                    f"{pad} x{d} = b{d}.bit_length() - 1",
+                ]
+                pad += " "
+            for j, got in steps.get(d, ()):
+                mask = " & ".join(([partial[j]] if j in partial else []) + got)
+                if j > d + 1:
+                    partial[j] = f"m{j}_{d}"
+                    lines.append(f"{pad}{partial[j]} = {mask}")
+                    if d >= pins:  # inside a loop
+                        lines.append(f"{pad}if not {partial[j]}: continue")
+                elif j < p - 1:
+                    lines.append(f"{pad}c{j} = {mask}")
+                else:
+                    lines.append(f"{pad}if c{j} := {mask}: return {found}")
     lines.append(" return " + ("False" if pins else "None"))
     return "\n".join(lines) + "\n"
 

@@ -91,17 +91,21 @@ class StructureCertificate:
     def verify(self) -> bool:
         """Re-check every invariant from scratch; True iff all hold.  A base
         other than four distinct int host vertices spanning a K4, other than
-        four A- and four B-cells, a class member other than an int, or a
-        pairing entry other than a tuple of two int class indices gives False,
-        not an error.  Not checked, as cells equal to a K4 base's imply them:
-        each base vertex is in its own A-cell, and a nonempty B-cell has r0 > 0."""
+        four A- and four B-cells, a q, r0, cell member or class member other
+        than an int, or a pairing entry other than a tuple of two int class
+        indices gives False, not an error: a float or a bool equal to the
+        right int is refused too.  Not checked, as cells equal to a K4 base's
+        imply them: each base vertex is in its own A-cell, and a nonempty
+        B-cell has r0 > 0."""
         host, base = self.host, self.base
         n = host.n
         nm = _k4_matrix(host, base)
         if nm is None or len(self.a_sets) != 4 or len(self.b_sets) != 4:
             return False
+        if type(self.q) is not int or type(self.r0) is not int:
+            return False
         cells = list(self.a_sets) + list(self.b_sets)
-        if sum(len(c) for c in cells) != n:
+        if sum(len(c) for c in cells) != n or any(type(v) is not int for c in cells for v in c):
             return False
         if set().union(*cells) != set(range(n)):
             return False

@@ -17,7 +17,7 @@ from triplesys import (
 )
 from triplesys.fileio import dump_json, result_from_json, result_to_json
 
-from conftest import random_host, reference_parse_hypergraph
+from conftest import FANO_LINES, random_host, reference_parse_hypergraph, steiner_join
 
 # Host-file texts for the oracle test, built from tokens at the edges of the
 # grammar: decimal digits with leading zeros, indices of 64 and more, and
@@ -112,8 +112,21 @@ def _exchange(cells, i, j):
     return tuple(cells)
 
 
+def _fano_certificate():
+    """The certificate of the 12-vertex Fano join: q = 1, r0 = 4, and four
+    singleton classes paired two and two."""
+    return analyze_half_degree(steiner_join(FANO_LINES, 12))
+
+
 def _with_cell(cells, i, cell):
     return cells[:i] + (frozenset(cell),) + cells[i + 1:]
+
+
+def _float_member(cells):
+    """The cells with the least member of the first nonempty one a float."""
+    i = next(i for i, cell in enumerate(cells) if cell)
+    v = min(cells[i])
+    return _with_cell(cells, i, cells[i] - {v} | {float(v)})
 
 
 # Each breaks one invariant of StructureCertificate.verify.  These apply to
@@ -170,6 +183,17 @@ _TAMPER_NO_B = [
     ("r0-without-a-b-cell", lambda c: replace(c, r0=2)),
     ("classes-without-a-b-cell", lambda c: replace(c, classes=(frozenset({0}),))),
 ]
+# Values equal to the right int but of another type (1.0 == 1, {0.0} == {0}),
+# for every certificate; then for those with a nonempty B-cell; then for the
+# Fano join's, whose q is 1 (True == 1).
+_TAMPER_TYPE = [
+    ("q-and-r0-floats", lambda c: replace(c, q=float(c.q), r0=float(c.r0))),
+    ("a-cell-float-member", lambda c: replace(c, a_sets=_float_member(c.a_sets))),
+]
+_TAMPER_TYPE_B = _TAMPER_TYPE + [
+    ("b-cell-float-member", lambda c: replace(c, b_sets=_float_member(c.b_sets)))
+]
+_TAMPER_TYPE_FANO = _TAMPER_TYPE_B + [("q-bool", lambda c: replace(c, q=True))]
 
 
 class TestHostFormat:
@@ -272,10 +296,12 @@ class TestCertificateJson:
 
     @pytest.mark.parametrize(
         "certificate, tamper",
-        [(_classes_certificate, t) for _, t in _TAMPER_ANY + _TAMPER_ONE_B]
-        + [(_partite_certificate, t) for _, t in _TAMPER_ANY + _TAMPER_NO_B],
-        ids=[f"r0=2-{name}" for name, _ in _TAMPER_ANY + _TAMPER_ONE_B]
-        + [f"r0=0-{name}" for name, _ in _TAMPER_ANY + _TAMPER_NO_B],
+        [(_classes_certificate, t) for _, t in _TAMPER_ANY + _TAMPER_ONE_B + _TAMPER_TYPE_B]
+        + [(_partite_certificate, t) for _, t in _TAMPER_ANY + _TAMPER_NO_B + _TAMPER_TYPE]
+        + [(_fano_certificate, t) for _, t in _TAMPER_TYPE_FANO],
+        ids=[f"r0=2-{name}" for name, _ in _TAMPER_ANY + _TAMPER_ONE_B + _TAMPER_TYPE_B]
+        + [f"r0=0-{name}" for name, _ in _TAMPER_ANY + _TAMPER_NO_B + _TAMPER_TYPE]
+        + [f"fano-{name}" for name, _ in _TAMPER_TYPE_FANO],
     )
     def test_broken_invariant_fails_verification(self, certificate, tamper):
         cert = certificate()
@@ -301,11 +327,15 @@ class TestCertificateJson:
     def test_tampered_structure_rejected(self):
         host, _ = construct_complete_k_partite(8, 4)
         good = result_to_json(analyze_half_degree(host))
-        # a wrong q, three B-cells, and the base's last vertex repeated
+        # a wrong q, three B-cells, the base's last vertex repeated, and a q,
+        # an r0 and an A-cell given as floats equal to the right ints
         for key, value in [
             ("q", good["q"] + 1),
             ("B", good["B"][:3]),
             ("base", good["base"] + good["base"][3:]),
+            ("q", float(good["q"])),
+            ("r0", float(good["r0"])),
+            ("A", [[float(v) for v in good["A"][0]]] + good["A"][1:]),
         ]:
             with pytest.raises(ValueError, match="structure certificate failed validation"):
                 result_from_json(dict(good, **{key: value}), host)

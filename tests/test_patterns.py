@@ -182,20 +182,20 @@ def _pin_enumeration(host, pattern, t) -> bool:
     return False
 
 
-class _Row(list):
-    """A row of a pair-mask table that logs each cell read as (u, v)."""
-
-    def __init__(self, u, cells, log):
-        super().__init__(cells)
-        self.u, self.log = u, log
-
-    def __getitem__(self, v):
-        self.log.append((self.u, v))
-        return super().__getitem__(v)
-
-
-def _logged(nbr, log):
-    return [_Row(u, row, log) for u, row in enumerate(nbr)]
+def _skewed(n, rng, sparsity):
+    """A pair-mask table whose cell for each ordered pair (u, v) is drawn on
+    its own: every w other than u and v lies in it with probability
+    2 ** -sparsity.  It is no host's table, but every search reads each cell
+    in the orientation its plan gives, so the interpreter still defines the
+    answer."""
+    full = (1 << n) - 1
+    nbr = [[0] * n for _ in range(n)]
+    for u, v in itertools.permutations(range(n), 2):
+        cell = full
+        for _ in range(sparsity):
+            cell &= rng.getrandbits(n)
+        nbr[u][v] = cell & ~(1 << u | 1 << v)
+    return nbr
 
 
 class TestCompiledSearch:
@@ -251,16 +251,48 @@ class TestCompiledSearch:
                     nbr, pattern, t
                 )
         # The unpinned searches return the interpreter's map, not just its
-        # verdict; chain, on 6 vertices, meets hosts of 5.  When the pattern
-        # fits, they also read the same cells in the same order, so a dropped
-        # symmetry bound shows, though it never changes the least map.
+        # verdict; chain, on 6 vertices, meets hosts of 5.
         for pattern in (*CATALOG.values(), *self.CUSTOM):
             for plan in (pattern.compiled.lex, pattern.compiled.exists):
-                reads, oracle_reads = [], []
-                found = search_maps(_logged(nbr, reads), plan)
-                assert found == interpreted_search_maps(_logged(nbr, oracle_reads), plan)
-                if len(plan.order) <= n:
-                    assert reads == oracle_reads
+                assert search_maps(nbr, plan) == interpreted_search_maps(nbr, plan)
+        # On a host's table a dropped symmetry bound never changes an answer:
+        # the least map meets every bound.  On a skewed table the images of a
+        # map under Aut(F) are no longer maps, so it does, and so does a
+        # dropped exclusion of an earlier vertex.
+        skew = _skewed(n, rng, rng.randrange(1, 4))
+        for pattern in (*CATALOG.values(), *self.CUSTOM):
+            for plan in (pattern.compiled.lex, pattern.compiled.exists):
+                assert search_maps(skew, plan) == interpreted_search_maps(skew, plan)
+            for t in pins:
+                assert embeds_through_edge(skew, pattern, t) == interpreted_through_edge(
+                    skew, pattern, t
+                )
+
+    def test_searches_on_the_64_vertex_host_shapes(self):
+        # The hosts `free` meets in the 64-vertex benchmark, where a later
+        # candidate set empties most often: balanced 3- and 4-partite hosts,
+        # and a 3-partite host with a copy of every pattern planted on seeded
+        # vertices.  As in `free`, find_embedding runs where the pattern
+        # occurs: on a free host its search in index order, with no symmetry
+        # bounds, is an exhaustive search |Aut(F)| times as long.
+        three, _ = construct_complete_k_partite(64, 3)
+        four, _ = construct_complete_k_partite(64, 4)
+        rng = random.Random(64)
+        edges = set(three.edges)
+        for pattern in CATALOG.values():
+            spot = rng.sample(range(64), pattern.vertex_count)
+            edges |= {tuple(sorted(spot[v] for v in e)) for e in pattern.edges}
+        planted = TripleSystem(64, sorted(edges))
+        verdicts = []
+        for host in (three, four, planted):
+            for pattern in CATALOG.values():
+                free = interpreted_search_maps(host.pair_masks, pattern.compiled.exists) is None
+                assert is_free(host, pattern) == free
+                if not free:
+                    least = interpreted_search_maps(host.pair_masks, pattern.compiled.lex)
+                    assert find_embedding(host, pattern).map == least
+                verdicts.append(free)
+        assert verdicts == [True] * 5 + [False] * 3 + [True] * 2 + [False] * 5
 
     def test_compiled_patterns_pickle(self):
         # Every pattern occurs in the complete host; none in a book of three
