@@ -9,6 +9,7 @@ throughout the witness extractors O(1).
 from __future__ import annotations
 
 import itertools
+import struct
 
 from .errors import PreconditionViolated
 
@@ -56,16 +57,49 @@ def flip(masks, t) -> None:
     rv[w] = rw[v] = rv[w] ^ (1 << u)
 
 
+def _twin_table(nbr) -> tuple[int, tuple[int, ...]]:
+    """``TripleSystem.twins`` of the pair-mask table nbr.
+
+    Swapping x and y is an automorphism exactly when, for every other vertex
+    z, the masks of {x, z} and {y, z} differ at most in bits x and y.  Swaps
+    compose, so twins form classes, and each vertex is compared only with
+    the least member of each class found so far among vertices of its degree.
+    """
+    n = len(nbr)
+    # row v of the table as one int, the mask of {v, z} at bits 64z..64z+63
+    pack = struct.Struct(f"<{n}Q").pack
+    rows = [int.from_bytes(pack(*row), "little") for row in nbr]
+    bit0 = sum(1 << 64 * z for z in range(n))
+    # where the rows of two twins may differ: the masks of the pair itself,
+    # and their own bits in every mask
+    own = [((1 << 64) - 1) << 64 * v | bit0 << v for v in range(n)]
+    first, nxt = 0, [0] * n
+    last = {}  # least member of a class: its greatest member so far
+    leasts: dict[int, list[int]] = {}  # twice a degree: least members of classes
+    for y, row in enumerate(rows):
+        same = leasts.setdefault(row.bit_count(), [])
+        for x in same:
+            if not (row ^ rows[x]) & ~(own[x] | own[y]):
+                nxt[last[x]] = 1 << y
+                last[x] = y
+                break
+        else:
+            same.append(y)
+            last[y] = y
+            first |= 1 << y
+    return first, tuple(nxt)
+
+
 class TripleSystem:
     """An immutable n-vertex 3-uniform hypergraph.
 
     The host is its table of per-pair neighborhood bitmasks (fast co-degree
     and intersection queries).  The lexicographically sorted edge tuple
-    (deterministic iteration) is read off the table the first time
-    ``edges`` is asked for, and kept.
+    (deterministic iteration) and the twin classes are read off the table
+    the first time ``edges`` or ``twins`` is asked for, and kept.
     """
 
-    __slots__ = ("n", "_nbr", "_edges")
+    __slots__ = ("n", "_nbr", "_edges", "_twins")
 
     def __init__(self, n: int, edges=()):
         if not 0 <= n <= MAX_VERTICES:
@@ -100,6 +134,7 @@ class TripleSystem:
         object.__setattr__(self, "n", len(nbr))
         object.__setattr__(self, "_nbr", nbr)
         object.__setattr__(self, "_edges", None)
+        object.__setattr__(self, "_twins", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TripleSystem is immutable")
@@ -128,6 +163,20 @@ class TripleSystem:
             edges = _mask_edges(self._nbr)
             object.__setattr__(self, "_edges", edges)
         return edges
+
+    @property
+    def twins(self) -> tuple[int, tuple[int, ...]]:
+        """The classes of exchangeable vertices, as ``(first, nxt)``.
+
+        Two vertices are twins when swapping them is an automorphism of the
+        host.  ``first`` is the mask of the least vertex of each class, and
+        ``nxt[v]`` the bit of the next member of v's class above v, or 0.
+        """
+        twins = self._twins
+        if twins is None:
+            twins = _twin_table(self._nbr)
+            object.__setattr__(self, "_twins", twins)
+        return twins
 
     @property
     def edge_count(self) -> int:

@@ -7,9 +7,9 @@ permitted.
 Every query runs the search plans a pattern compiles on first use (see
 CompiledPattern), each as straight-line code generated from its plans at
 compile time.  find_embedding uses the identity vertex order without
-symmetry breaking, so it returns the lexicographically least map.  The
-existence-only queries (is_free and embeds_through_edge) place the most
-constrained vertex first and break the pattern's symmetry group Aut(F).
+breaking the pattern's symmetry, so it returns the lexicographically least
+map.  The existence-only queries (is_free and embeds_through_edge) place the
+most constrained vertex first and break the pattern's symmetry group Aut(F).
 embeds_through_edge takes a bare pair-mask table, so the exact and the local
 search run the one through-edge check on the tables they change.
 
@@ -21,6 +21,14 @@ where no closing pair or symmetry bound of the position already excludes it.
 Candidates are scanned in ascending host order and a pruned branch has no
 completion, so every query returns the map a plain backtracking search
 returns (tests/conftest.py keeps one as the oracle).
+
+find_embedding and is_free also break the host's symmetry (lex-leader
+symmetry breaking on the target): a looped pattern vertex may take only the
+least unused vertex of each class of twins, vertices whose swap is an
+automorphism of the host (TripleSystem.twins).  The least map in plan order
+obeys this rule and the Aut(F) bounds, since swapping one of its vertices
+with a smaller unused twin, or applying a symmetry the bounds break, would
+give a smaller map; so both return what they returned without the rule.
 """
 
 from __future__ import annotations
@@ -173,8 +181,8 @@ def _compile(pattern: Pattern) -> CompiledPattern:
     through = tuple(_plan(pattern, incident, group, r) for r in reps)
     lex = _plan(pattern, incident, (), tuple(range(p)))
     exists = _plan(pattern, incident, group, ())
-    for plan in (lex, exists):
-        _SEARCHES[plan] = _generate(_search_source((plan,), 0), "search", pattern.name)
+    for kind, plan in (("lex", lex), ("exists", exists)):
+        _SEARCHES[plan] = _generate(_search_source((plan,), 0), "search", f"{kind} {pattern.name}")
     return CompiledPattern(
         lex=lex,
         exists=exists,
@@ -195,8 +203,9 @@ def _search_source(plans, pins: int) -> str:
     With ``pins`` = 3 it is ``through_check(nbr, edge)``, which pins each
     plan's first three positions to ``edge`` and returns True or False: the
     pins' closing pairs become one test, shared by consecutive plans with
-    the same test.  With no pins it is ``search(nbr)``, which returns the
-    first map found, or None.  Every other position is a loop over its
+    the same test.  With no pins it is ``search(nbr, a0, nxt)``, which
+    returns the first map found, or None; ``(a0, nxt)`` is the host's twin
+    pair (TripleSystem.twins).  Every other position is a loop over its
     candidates in ascending host order, except the last: one mask test.
 
     A position's candidate mask is ANDed together while the earlier
@@ -207,6 +216,14 @@ def _search_source(plans, pins: int) -> str:
     earlier vertex is excluded by its own bit, ``~b{k}``, only when no
     closing pair or ``above`` bound already excludes it (a pair's mask never
     holds the pair).
+
+    In ``search`` the loops keep a running mask of the least unused member
+    of each twin class, ``a{j+1} = a{j} ^ b{j} | nxt[x{j}]``, and AND it
+    into each looped position's candidates in place of the ``~b{k}``
+    exclusions; the last position keeps them.  The least map in plan order
+    takes the least unused member of its class at every position, since
+    swapping it with a smaller unused twin would give a smaller map, so the
+    search returns the map it returns without twins.
     """
     if pins:
         lines = [
@@ -216,19 +233,24 @@ def _search_source(plans, pins: int) -> str:
             + " = " + ", ".join(f"1 << x{i}" for i in range(pins)),
         ]
     else:
-        lines = ["def search(nbr):"]
-    lines.append(" full = (1 << len(nbr)) - 1")
+        lines = ["def search(nbr, a0, nxt):"]
+    head, full = len(lines), bool(pins)
     pinned = ""
     for order, closing, above in plans:
         p = len(order)
         steps: dict[int, list] = {}  # depth d: (position, terms) once position d is bound
         for j in range(pins, p):
             terms = [(max(pair), f"nbr[x{pair[0]}][x{pair[1]}]") for pair in closing[j]]
-            terms = terms or [(j - 1, "full")]
+            looped = not pins and j < p - 1
+            if looped:
+                terms.append((j - 1, f"a{j}"))
+            elif not terms:
+                terms, full = [(j - 1, "full")], True
             start = max(min(d for d, _ in terms), pins - 1)
-            excluded = {k for pair in closing[j] for k in pair}.union(above[j])
             terms += [(a, f"-(2 << x{a})") for a in above[j]]
-            terms += [(k, f"~b{k}") for k in range(j) if k not in excluded]
+            if not looped:  # a{j} holds no earlier vertex
+                excluded = {k for pair in closing[j] for k in pair}.union(above[j])
+                terms += [(k, f"~b{k}") for k in range(j) if k not in excluded]
             for d in range(start, j):
                 got = [t for e, t in terms if max(e, start) == d]
                 if got:
@@ -253,6 +275,8 @@ def _search_source(plans, pins: int) -> str:
                     f"{pad} x{d} = b{d}.bit_length() - 1",
                 ]
                 pad += " "
+                if not pins and d < p - 2:
+                    lines.append(f"{pad}a{d + 1} = a{d} ^ b{d} | nxt[x{d}]")
             for j, got in steps.get(d, ()):
                 mask = " & ".join(([partial[j]] if j in partial else []) + got)
                 if j > d + 1:
@@ -264,6 +288,8 @@ def _search_source(plans, pins: int) -> str:
                     lines.append(f"{pad}c{j} = {mask}")
                 else:
                     lines.append(f"{pad}if c{j} := {mask}: return {found}")
+    if full:
+        lines.insert(head, " full = (1 << len(nbr)) - 1")
     lines.append(" return " + ("False" if pins else "None"))
     return "\n".join(lines) + "\n"
 
@@ -316,24 +342,32 @@ def _plan(pattern: Pattern, incident, group, start: tuple[int, ...]) -> SearchPl
 _SEARCHES: dict = {}
 
 
-def search_maps(nbr, plan: SearchPlan) -> tuple[int, ...] | None:
+def search_maps(nbr, plan: SearchPlan, twins) -> tuple[int, ...] | None:
     """The first map, indexed by pattern vertex, that the search generated
     from a compiled ``lex`` or ``exists`` plan finds in the pair-mask table
     ``nbr``, or None.  Candidates are scanned in ascending host order, so
-    the ``lex`` plan gives the least map."""
-    return _SEARCHES[plan](nbr)
+    the ``lex`` plan gives the least map.
+
+    ``twins`` is the table's twin pair (TripleSystem.twins), and each
+    looped position takes only the least unused vertex of a twin class.
+    That leaves the answer unchanged, since a smaller unused twin of a
+    vertex of the least map would give a smaller map.  A table that is no
+    host's is searched with ``((1 << n) - 1, (0,) * n)``, every vertex in a
+    class of its own."""
+    return _SEARCHES[plan](nbr, *twins)
 
 
 def find_embedding(host: TripleSystem, pattern: Pattern) -> Embedding | None:
     """Lexicographically least embedding of the pattern, or None.
 
-    Searches pattern vertices in index order without symmetry breaking;
-    candidates for each vertex are the intersection of the pair
-    neighborhoods of every pattern edge it completes, scanned in ascending
-    host order.  The returned map is therefore the minimum under tuple
-    order, which makes certificates reproducible.
+    Searches pattern vertices in index order without breaking the
+    pattern's symmetry; candidates for each vertex are the intersection of
+    the pair neighborhoods of every pattern edge it completes, scanned in
+    ascending host order, one unused vertex per class of the host's twins.
+    The returned map is therefore the minimum under tuple order, which
+    makes certificates reproducible.
     """
-    m = search_maps(host.pair_masks, pattern.compiled.lex)
+    m = search_maps(host.pair_masks, pattern.compiled.lex, host.twins)
     return None if m is None else Embedding(pattern, host, m)
 
 
@@ -352,7 +386,7 @@ def embeds_through_edge(nbr, pattern: Pattern, edge) -> bool:
 
 def is_free(host: TripleSystem, pattern: Pattern) -> bool:
     """True iff the host contains no copy of the pattern."""
-    return search_maps(host.pair_masks, pattern.compiled.exists) is None
+    return search_maps(host.pair_masks, pattern.compiled.exists, host.twins) is None
 
 
 def naive_find_embedding(host: TripleSystem, pattern: Pattern) -> Embedding | None:

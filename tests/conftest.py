@@ -59,6 +59,27 @@ def steiner_join(lines, n: int) -> TripleSystem:
     return TripleSystem(n, list(lines) + cross)
 
 
+def blow_up(sizes, rng: random.Random) -> TripleSystem:
+    """The complete partite host with parts of the given sizes, its vertices
+    shuffled: every triple meeting three parts.  Two vertices of one part
+    are twins."""
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    perm = list(range(len(part)))
+    rng.shuffle(perm)
+    edges = [
+        (perm[u], perm[v], perm[w])
+        for u, v, w in itertools.combinations(range(len(part)), 3)
+        if len({part[u], part[v], part[w]}) == 3
+    ]
+    return TripleSystem(len(part), edges)
+
+
+def no_twins(n: int) -> tuple[int, tuple[int, ...]]:
+    """The twin pair of a table read as having no twins, every vertex in a
+    class of its own: the pair to search a table that is no host's with."""
+    return (1 << n) - 1, (0,) * n
+
+
 def scan_min_positive_codegree(host: TripleSystem) -> int | None:
     """Direct per-pair edge scan, independent of the bitmask machinery."""
     best = None

@@ -26,7 +26,15 @@ from triplesys import (
 from triplesys import cli
 from triplesys.core import HostState, mask_vertices
 
-from conftest import random_host, scan_min_positive_codegree
+from conftest import (
+    AG23_LINES,
+    FANO_LINES,
+    blow_up,
+    no_twins,
+    random_host,
+    scan_min_positive_codegree,
+    steiner_join,
+)
 
 
 class TestTripleSystem:
@@ -115,6 +123,97 @@ class TestTripleSystem:
         assert g.edges == ((1, 2, 3),)
         with pytest.raises(ValueError):
             h.relabel((0, 0, 1, 2))
+
+
+def twin_classes(host: TripleSystem) -> list[list[int]]:
+    """The classes ``host.twins`` lists, each in ascending order."""
+    first, nxt = host.twins
+    assert len(nxt) == host.n
+    classes = []
+    for v in mask_vertices(first):
+        members = [v]
+        while nxt[members[-1]]:
+            members.append(nxt[members[-1]].bit_length() - 1)
+        classes.append(members)
+    return classes
+
+
+def check_twin_classes(host: TripleSystem) -> list[list[int]]:
+    """Brute force: the listed classes are exactly the sets of vertices whose
+    swaps fix the host, ``host.relabel(swap) == host``.  A swap moves only
+    the edges through its two vertices, so those are the edges tried.  Swaps
+    compose, so it is enough that consecutive members of a class swap and
+    the least members of two classes do not."""
+    classes = twin_classes(host)
+    assert sorted(v for c in classes for v in c) == list(range(host.n))
+    through = [[] for _ in range(host.n)]
+    for e in host.edges:
+        for v in e:
+            through[v].append(e)
+
+    def swap_fixes(x, y):
+        swap = {x: y, y: x}
+        return all(
+            host.has_edge(*(swap.get(v, v) for v in e)) for e in through[x] + through[y]
+        )
+
+    for c in classes:
+        assert c == sorted(c)
+        assert all(swap_fixes(x, y) for x, y in zip(c, c[1:]))
+    for c, d in itertools.combinations(classes, 2):
+        assert not swap_fixes(c[0], d[0])
+    return classes
+
+
+class TestTwins:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10),
+        st.sampled_from([0.02, 0.1, 0.5, 0.9, 0.98]),
+        st.randoms(use_true_random=False),
+    )
+    def test_random_hosts(self, n, density, rng):
+        host = random_host(n, rng, density=density)
+        classes = check_twin_classes(host)
+        if n < 2:  # no edges, and at most one vertex
+            assert host.twins == no_twins(n)
+        # on hosts this small, every swap is tried on the whole host too
+        for x, y in itertools.combinations(range(n), 2):
+            perm = list(range(n))
+            perm[x], perm[y] = y, x
+            same = any(x in c and y in c for c in classes)
+            assert (host.relabel(perm) == host) == same
+
+    @pytest.mark.parametrize(
+        "sizes", [(1, 2, 3), (5, 1, 1, 4), (2, 2, 2, 2, 2), (7, 3, 1), (1, 1, 1), (9, 4, 4, 12)]
+    )
+    def test_blow_ups(self, sizes):
+        # each part is a class, except that the parts of one vertex make one
+        # class together
+        host = blow_up(sizes, random.Random(sum(sizes)))
+        classes = check_twin_classes(host)
+        singles = sizes.count(1)
+        expected = sorted([s for s in sizes if s > 1] + ([singles] if singles else []))
+        assert sorted(map(len, classes)) == expected
+
+    def test_complete_host_is_one_class(self):
+        host = complete_triple_system(64)
+        assert check_twin_classes(host) == [list(range(64))]
+
+    @pytest.mark.parametrize("lines, n", [(FANO_LINES, 12), (AG23_LINES, 16)], ids=["fano", "ag23"])
+    def test_steiner_join(self, lines, n):
+        # the independent set S is one class; no swap fixes the Steiner system
+        t = n // 2 + 1
+        host = steiner_join(lines, n)
+        assert check_twin_classes(host) == [[v] for v in range(t)] + [list(range(t, n))]
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_partite_host_with_edges_removed_has_no_twins(self, k):
+        rng = random.Random(k)
+        host = blow_up([64 // k + (i < 64 % k) for i in range(k)], rng)
+        assert len(check_twin_classes(host)) == k
+        thinned = TripleSystem(64, [e for e in host.edges if rng.random() >= 0.05])
+        assert check_twin_classes(thinned) == [[v] for v in range(64)]
 
 
 def scan_codegrees(host: TripleSystem) -> list[int]:

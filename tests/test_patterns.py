@@ -26,9 +26,18 @@ from triplesys import (
 )
 
 from triplesys.core import flip
-from triplesys.patterns import search_maps
+from triplesys.patterns import _SEARCHES, search_maps
 
-from conftest import interpreted_search_maps, interpreted_through_edge, random_host
+from conftest import (
+    AG23_LINES,
+    FANO_LINES,
+    blow_up,
+    interpreted_search_maps,
+    interpreted_through_edge,
+    no_twins,
+    random_host,
+    steiner_join,
+)
 
 
 class TestCatalog:
@@ -251,10 +260,15 @@ class TestCompiledSearch:
                     nbr, pattern, t
                 )
         # The unpinned searches return the interpreter's map, not just its
-        # verdict; chain, on 6 vertices, meets hosts of 5.
+        # verdict, with every vertex in a class of its own and with the
+        # table's twin classes (its untouched vertices make one); chain, on
+        # 6 vertices, meets hosts of 5.
+        twins = TripleSystem._from_masks(nbr).twins
         for pattern in (*CATALOG.values(), *self.CUSTOM):
             for plan in (pattern.compiled.lex, pattern.compiled.exists):
-                assert search_maps(nbr, plan) == interpreted_search_maps(nbr, plan)
+                least = interpreted_search_maps(nbr, plan)
+                assert search_maps(nbr, plan, no_twins(n)) == least
+                assert search_maps(nbr, plan, twins) == least
         # On a host's table a dropped symmetry bound never changes an answer:
         # the least map meets every bound.  On a skewed table the images of a
         # map under Aut(F) are no longer maps, so it does, and so does a
@@ -262,7 +276,7 @@ class TestCompiledSearch:
         skew = _skewed(n, rng, rng.randrange(1, 4))
         for pattern in (*CATALOG.values(), *self.CUSTOM):
             for plan in (pattern.compiled.lex, pattern.compiled.exists):
-                assert search_maps(skew, plan) == interpreted_search_maps(skew, plan)
+                assert search_maps(skew, plan, no_twins(n)) == interpreted_search_maps(skew, plan)
             for t in pins:
                 assert embeds_through_edge(skew, pattern, t) == interpreted_through_edge(
                     skew, pattern, t
@@ -293,6 +307,51 @@ class TestCompiledSearch:
                     assert find_embedding(host, pattern).map == least
                 verdicts.append(free)
         assert verdicts == [True] * 5 + [False] * 3 + [True] * 2 + [False] * 5
+
+    def test_searches_on_hosts_with_twins(self):
+        # Hosts whose twin classes are large, where the searches try one
+        # vertex of a class at a time: relabelled blow-ups, balanced at
+        # n = 64 as in the benchmark and unbalanced below, the complete host
+        # and the Steiner joins.  The lex search is cheap on a free blow-up,
+        # so find_embedding runs on every host.
+        rng = random.Random(24)
+        hosts = [
+            blow_up((22, 21, 21), rng),
+            blow_up((16, 16, 16, 16), rng),
+            blow_up((9, 7, 5, 3), rng),
+            blow_up((3, 3, 2), rng),
+            blow_up((1, 2, 4), rng),
+            blow_up((2, 1, 1, 1, 3), rng),
+            complete_triple_system(64),
+            complete_triple_system(7),
+            steiner_join(FANO_LINES, 12),
+            steiner_join(AG23_LINES, 16),
+        ]
+        verdicts = []
+        for host in hosts:
+            for pattern in CATALOG.values():
+                nbr, compiled = host.pair_masks, pattern.compiled
+                free = interpreted_search_maps(nbr, compiled.exists) is None
+                assert is_free(host, pattern) == free
+                least = None if free else interpreted_search_maps(nbr, compiled.lex)
+                emb = find_embedding(host, pattern)
+                assert (emb and emb.map) == least
+                if host.n <= 8:
+                    slow = naive_find_embedding(host, pattern)
+                    assert (slow and slow.map) == least
+                verdicts.append(free)
+        assert verdicts == (
+            [True] * 5 + ([False] * 3 + [True] * 2) * 2 + [True] * 10
+            + [False] * 15 + [False, False, False, True, False] * 2
+        )
+
+    def test_lex_and_exists_searches_are_labelled_apart(self):
+        # pstats keys a function by its code's file name, line and name, so
+        # the two searches of a pattern need two labels to get two rows
+        for pattern in CATALOG.values():
+            lex = _SEARCHES[pattern.compiled.lex].__code__.co_filename
+            exists = _SEARCHES[pattern.compiled.exists].__code__.co_filename
+            assert lex.startswith("<search lex ") and exists.startswith("<search exists ")
 
     def test_compiled_patterns_pickle(self):
         # Every pattern occurs in the complete host; none in a book of three
