@@ -45,10 +45,11 @@ def _mask_edges(nbr) -> tuple[tuple[int, int, int], ...]:
 def flip(masks, t) -> None:
     """Toggle the triple t = (u, v, w) in the masks of its three pairs.
 
-    The one writer of a pair-mask table, except that
-    ``fileio.parse_hypergraph`` writes the same three pairs inline; a flip
-    is its own inverse, so a search undoes a move by flipping the same
-    triple again.
+    A flip is its own inverse, so a search undoes a move by flipping the
+    same triple again.  Tables built whole are written without it:
+    ``construct_complete_k_partite`` in closed form, and
+    ``fileio.parse_hypergraph`` from an incidence cube or, for a file in
+    another spelling, in its line loop.
     """
     u, v, w = t
     ru, rv, rw = masks[u], masks[v], masks[w]

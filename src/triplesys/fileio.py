@@ -6,16 +6,25 @@ by single spaces.  ``#`` starts a comment line; blank lines are skipped;
 duplicate edges are rejected.  Serialization is byte-stable (LF endings,
 ASCII, lexicographic edge order), so parse(serialize(H)) == H.
 
-Loading is one pass: each edge line is checked and written straight into
-the host's pair-mask table, which finds a repeated edge by its mask bit,
-and the finished table becomes the host without a second check.  The host
-builds its sorted edge tuple only when something reads it.
+A file in serialize_hypergraph's exact spelling is loaded through an
+incidence cube: one byte per position (u, v, w), set by one store per edge
+line.  The checks run once, in bulk, after the last line: the count of set
+positions finds a repeated edge, and one mask finds a line that is not
+ascending or names a vertex out of range.  Three field swaps of the cube,
+read as one integer, put each edge in all six orders, and the cube then
+unpacks into the host's pair-mask table.  Any other file, and any file that
+fails a check, goes through the line loop, which checks each line as it
+reads it, writes each edge into the table, and gives every ParseError its
+line number.  The host builds its sorted edge tuple only when something
+reads it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
+import struct
 
 from .core import MAX_VERTICES, TripleSystem
 from .patterns import Embedding, pattern_by_name, validate_embedding
@@ -24,6 +33,15 @@ from .witness import StructureCertificate
 _HEADER_LINE = re.compile(r"^n (\d+)$")
 #: Each vertex index as serialize_hypergraph spells it.
 _INDEX = {str(v): v for v in range(MAX_VERTICES)}
+#: Each header line as serialize_hypergraph spells it: its vertex count.
+_HEADER = {f"n {n}": n for n in range(MAX_VERTICES + 1)}
+#: For each field width k of the cube, the three dicts (pu, pv, w) from each
+#: index below 2**k, spelled as in _INDEX, to its field of a cube position:
+#: u << 2k, v << k and w.  An index of 2**k or more is in none of them.
+_FIELDS = {
+    k: tuple({s: v << f * k for s, v in _INDEX.items() if v < 1 << k} for f in (2, 1, 0))
+    for k in range(3, 7)
+}
 
 
 class ParseError(ValueError):
@@ -35,9 +53,94 @@ class ParseError(ValueError):
 
 
 def parse_hypergraph(text: str) -> TripleSystem:
+    lines = text.splitlines()
+    host = _parse_cube(lines)
+    return _parse_lines(lines) if host is None else host
+
+
+def _parse_cube(lines) -> TripleSystem | None:
+    """The host of a file in serialize_hypergraph's spelling, or None.
+
+    The cube holds one ASCII byte per position p = u << 2k | v << k | w,
+    with k = max(3, bits of n - 1), which stands for "the pair {u, v} holds
+    w".  Bytes are indexed from the top, so ``int(cube, 2)`` has bit p set
+    for each edge line.  None means the line loop must read the file: a
+    line or header in another spelling, an index of 2**k or more, a
+    repeated edge, or a line that is not ascending or names a vertex >= n.
+    """
+    n = _HEADER.get(lines[0]) if lines else None
+    if n is None:
+        return None
+    k = max(3, (n - 1).bit_length())
+    pu, pv, w = _FIELDS[k]
+    size = 1 << 3 * k
+    top = size - 1
+    cube = bytearray(b"0") * size
+    try:
+        for line in itertools.islice(lines, 1, None):
+            a, b, c = line.split(" ")
+            cube[top - pu[a] - pv[b] - w[c]] = 49  # "1"
+    except (KeyError, ValueError):
+        return None
+    x = int(cube, 2)
+    del cube  # the largest object here: free it before the swaps
+    if x.bit_count() != len(lines) - 1 or x & ~_ascending(n, k):
+        return None
+    # the 2**k bits of field (u, v) are the mask of the pair {u, v}: read
+    # those with u < v, and share each with its mirror, as the line loop does
+    cells = _all_orders(x, k).to_bytes(size >> 3, "little")
+    f, fmt = 1 << k - 3, "BHIQ"[k - 3]
+    nbr: list[list[int]] = []
+    for u in range(n):
+        upper = struct.unpack_from(f"<{n - u - 1}{fmt}", cells, ((u << k) + u + 1) * f)
+        nbr.append([row[u] for row in nbr] + [0, *upper])
+    return TripleSystem._from_masks(nbr)
+
+
+def _ascending(n: int, k: int) -> int:
+    """The cube positions (u, v, w) with u < v < w < n."""
+    f = 1 << k - 3  # bytes in one field
+    # the fields of one u-block: field v holds the w with v < w < n
+    row = b"".join(((1 << n) - (2 << v)).to_bytes(f, "little") for v in range(n - 1))
+    row = row.ljust(f << k, b"\0")
+    # block u keeps only the fields v > u
+    return int.from_bytes(
+        b"".join(bytes(f * (u + 1)) + row[f * (u + 1):] for u in range(1 << k)), "little"
+    )
+
+
+def _all_orders(x: int, k: int) -> int:
+    """The cube x with each position in all six orders of its fields: swap
+    (w, v), then (v, u), then (w, v), each time keeping both."""
+    size = 1 << 3 * k
+    for lo in (0, k, 0):  # swap the fields at bits lo and lo + k
+        y = x
+        for i in range(lo, lo + k):  # one bit of each field at a time
+            d, m = _delta_swap(i, k, size)
+            t = (y ^ y >> d) & m
+            y ^= t | t << d
+        x |= y
+    return x
+
+
+def _delta_swap(i: int, k: int, size: int) -> tuple[int, int]:
+    """(d, m) for the delta swap that exchanges bits i and i + k of every
+    position index: m holds the positions with bit i set and bit i + k
+    clear, each of which trades places with the one d above it."""
+    m = ((1 << (1 << i)) - 1) << (1 << i)  # bit i set, over 2 << i positions
+    p = 2 << i
+    while p < size:  # double the pattern, except where bit i + k turns on
+        if p != 1 << i + k:
+            m |= m << p
+        p <<= 1
+    return (1 << i + k) - (1 << i), m
+
+
+def _parse_lines(lines) -> TripleSystem:
+    """The line loop: every file the cube declines, and every ParseError."""
     nbr = None
     index = _INDEX.get
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue

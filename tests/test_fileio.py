@@ -15,9 +15,11 @@ from triplesys import (
     parse_hypergraph,
     serialize_hypergraph,
 )
+from triplesys import fileio
+from triplesys.core import MAX_VERTICES
 from triplesys.fileio import dump_json, result_from_json, result_to_json
 
-from conftest import FANO_LINES, random_host, reference_parse_hypergraph, steiner_join
+from conftest import AG23_LINES, FANO_LINES, random_host, reference_parse_hypergraph, steiner_join
 
 # Host-file texts for the oracle test, built from tokens at the edges of the
 # grammar: decimal digits with leading zeros, indices of 64 and more, and
@@ -52,10 +54,54 @@ _LINE = st.tuples(
     ),
     _PAD,
 ).map("".join)
-_HOST_TEXTS = st.tuples(
+_LINE_TEXTS = st.tuples(
     st.sampled_from(["n 4", "n 6", "n 7", "n 7", "n 05", "n 0", "n 64", "n 70", "# only", ""]),
     st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", "\x1c"])), max_size=8),
 ).map(lambda parts: parts[0] + "\n" + "".join(line + end for line, end in parts[1]))
+
+# Edits to a serialized host.  The first four keep the writer's spelling
+# (but for an index set to n = 64), so the cube path's checks decide; the
+# rest send the file to the line loop.
+_EDITS = ("none", "swap-fields", "repeat-line", "index-n", "double-space",
+          "comment", "blank-line", "leading-zero", "crlf")
+
+
+@st.composite
+def _serialized_texts(draw):
+    """serialize_hypergraph of a random host on up to 64 vertices, whole or
+    with one edit."""
+    n = draw(st.integers(0, MAX_VERTICES))
+    density = draw(st.sampled_from([0.002, 0.01, 0.05]))
+    rng = random.Random(draw(st.integers(0, 2**32)))  # a seed draws faster than st.randoms
+    lines = serialize_hypergraph(random_host(n, rng, density)).splitlines()
+    edit = draw(st.sampled_from(_EDITS))
+    if edit == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    if edit in ("comment", "blank-line"):
+        lines.insert(draw(st.integers(1, len(lines))), "# note" if edit == "comment" else "")
+    elif edit != "none" and len(lines) > 1:
+        i = draw(st.integers(1, len(lines) - 1))
+        fields = lines[i].split(" ")
+        at = draw(st.integers(0, 2))
+        if edit == "swap-fields":
+            other = (at + draw(st.integers(1, 2))) % 3
+            fields[at], fields[other] = fields[other], fields[at]
+        elif edit == "repeat-line":
+            lines.insert(draw(st.integers(i + 1, len(lines))), lines[i])
+        elif edit == "index-n":
+            fields[at] = str(n)
+        elif edit == "double-space":
+            fields.insert(1 + at % 2, "")
+        else:
+            fields[at] = "0" + fields[at]
+        lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+_HOST_TEXTS = st.one_of(_LINE_TEXTS, _serialized_texts())
+# A 64-vertex file whose last line repeats its first edge: the cube path
+# reads every line before its count of edges declines the file.
+_REPEATED_LAST = serialize_hypergraph(construct_complete_k_partite(64, 4)[0]) + "0 16 32\n"
 
 
 def _parse_outcome(parse, text):
@@ -251,6 +297,25 @@ class TestHostFormat:
         assert err.value.line == line
         assert str(err.value) == message
 
+    def test_serialized_hosts_never_reach_the_line_loop(self, monkeypatch):
+        # every other test passes with a cube path that declines every file
+        def line_loop(lines):
+            raise AssertionError("the line loop read a serialized host")
+
+        monkeypatch.setattr(fileio, "_parse_lines", line_loop)
+        rng = random.Random(25)
+        hosts = [
+            complete_triple_system(64),
+            construct_complete_k_partite(64, 4)[0],
+            steiner_join(FANO_LINES, 64),
+            steiner_join(AG23_LINES, 64),
+        ]
+        # each field width of the cube, 3 to 6 bits, at its least and
+        # greatest n; n = 0 and 1 have no edges
+        hosts += [random_host(n, rng, 0.3) for n in (0, 1, 8, 9, 16, 17, 32, 33)]
+        for host in hosts:
+            assert parse_hypergraph(serialize_hypergraph(host)) == host
+
     def test_empty_input(self):
         with pytest.raises(ParseError) as err:
             parse_hypergraph("")
@@ -265,6 +330,13 @@ class TestHostFormat:
     @example("n 4\r\n 0 1 2\t\r1 2 3\x0c0 2 3\x1c")
     @example("n 4\n0 1 \u0663\n")
     @example("n 4\n0 1 \u00b2\n")
+    # one per check the cube path makes after its loop: a repeated edge, a
+    # line that is not ascending, a vertex >= n that fits the cube (n = 6
+    # gives 3-bit fields), and a repeated edge on the last of 16,386 lines
+    @example("n 6\n0 1 2\n1 2 3\n0 1 2\n")
+    @example("n 6\n0 1 2\n3 2 1\n")
+    @example("n 6\n0 1 2\n0 1 7\n")
+    @example(_REPEATED_LAST)
     def test_parser_matches_the_reference(self, text):
         assert _parse_outcome(parse_hypergraph, text) == _parse_outcome(
             reference_parse_hypergraph, text
