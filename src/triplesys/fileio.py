@@ -171,6 +171,8 @@ def _parse_lines(lines) -> TripleSystem:
         if not u < v < w:
             raise ParseError(lineno, f"vertices must be distinct and ascending: {line!r}")
         if w >= n:
+            if not n:
+                raise ParseError(lineno, f"vertex {w} out of range: the host has no vertices")
             raise ParseError(lineno, f"vertex {w} out of range 0..{n - 1}")
         ru, rv, rw = nbr[u], nbr[v], nbr[w]
         uv = ru[v]
@@ -240,9 +242,14 @@ def result_from_json(data: dict, host: TripleSystem):
         kind = data.get("kind")
         if kind == "embedding":
             emb = Embedding(pattern_by_name(data["pattern"]), host, tuple(data["map"]))
+            edges = [tuple(e) for e in data["edges"]]
+            if not all(type(v) is int for v in itertools.chain(emb.map, *edges)):
+                # a bool or a float equal to the right int is not what
+                # result_to_json writes
+                raise TypeError("map and edge entries must be ints")
             if not validate_embedding(emb):
                 raise ValueError("embedding certificate failed validation")
-            if sorted(tuple(e) for e in data["edges"]) != sorted(emb.image_edges()):
+            if sorted(edges) != sorted(emb.image_edges()):
                 raise ValueError("embedding certificate edges do not match its map")
             return emb
         if kind == "structure":

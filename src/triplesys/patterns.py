@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .core import TripleSystem
@@ -217,14 +217,6 @@ def _search_source(plans, pins: int) -> str:
     closing pair or ``above`` bound already excludes it (a pair's mask never
     holds the pair).
 
-    Each scope reads a pair-mask cell once and writes a partial once.  A
-    scope is the code before the first loop, which the plans share with the
-    pin test, or one plan's code in a loop once it binds its vertex.  The
-    partials come before the candidate mask.  A partial equal to an earlier
-    one of the scope takes its name, a mask takes in each earlier partial
-    whose terms it has, and a cell still read twice is read into
-    ``n{a}_{b}`` at the top of the scope.
-
     In ``search`` the loops keep a running mask of the least unused member
     of each twin class, ``a{j+1} = a{j} ^ b{j} | nxt[x{j}]``, and AND it
     into each looped position's candidates in place of the ``~b{k}``
@@ -243,16 +235,12 @@ def _search_source(plans, pins: int) -> str:
     else:
         lines = ["def search(nbr, a0, nxt):"]
     head, full = len(lines), bool(pins)
-    cell = {}  # a pair-mask cell's expression: the name it is read into
-    written = []  # each plan's masks at each depth
+    pinned = ""
     for order, closing, above in plans:
         p = len(order)
         steps: dict[int, list] = {}  # depth d: (position, terms) once position d is bound
         for j in range(pins, p):
-            terms = []
-            for a, b in closing[j]:
-                cell[f"nbr[x{a}][x{b}]"] = f"n{a}_{b}"
-                terms.append((b, f"nbr[x{a}][x{b}]"))
+            terms = [(max(pair), f"nbr[x{pair[0]}][x{pair[1]}]") for pair in closing[j]]
             looped = not pins and j < p - 1
             if looped:
                 terms.append((j - 1, f"a{j}"))
@@ -267,23 +255,7 @@ def _search_source(plans, pins: int) -> str:
                 got = [t for e, t in terms if max(e, start) == d]
                 if got:
                     steps.setdefault(d, []).append((j, got))
-        partial: dict[int, str] = {}
-        written.append([_scope_masks(steps.get(d, ()), partial, d) for d in range(pins - 1, p - 1)])
-    # the code before the first loop is one scope for all plans, with the pin
-    # tests: the tests of consecutive plans are one test when equal
-    tests = [
-        [(f"nbr[x{a}][x{b}]", f" >> x{i} & 1") for i in range(pins) for a, b in closing[i]]
-        for _, closing, _ in plans
-    ]
-    emitted = [t for before, t in zip([None] + tests, tests) if t != before]
-    top = _read_once(cell, [[c for c, _ in t] for t in emitted] + [
-        factors for masks in written for scope in masks[:1] for _, factors in scope
-    ])
-    lines += [f" {name} = {expr}" for expr, name in top.items()]
-    pinned = ""
-    for (order, closing, above), test, masks in zip(plans, tests, written):
-        p = len(order)
-        test = " and ".join(top.get(c, c) + shift for c, shift in test)
+        test = " and ".join(f"nbr[x{a}][x{b}] >> x{i} & 1" for i in range(pins) for a, b in closing[i])
         if test != pinned:
             pinned = test
             lines.append(f" if {test}:")
@@ -293,8 +265,8 @@ def _search_source(plans, pins: int) -> str:
         found = "True" if pins else "(" + "".join(f"{x}, " for x in images) + ")"
         if p == pins:
             lines.append(f"{pad}return {found}")
-        named = top
-        for d, scope in enumerate(masks, start=pins - 1):
+        partial: dict[int, str] = {}
+        for d in range(pins - 1, p - 1):
             if d >= pins:
                 lines += [
                     f"{pad}while c{d}:",
@@ -305,14 +277,13 @@ def _search_source(plans, pins: int) -> str:
                 pad += " "
                 if not pins and d < p - 2:
                     lines.append(f"{pad}a{d + 1} = a{d} ^ b{d} | nxt[x{d}]")
-                named = _read_once(cell, [factors for _, factors in scope])
-                lines += [f"{pad}{name} = {expr}" for expr, name in named.items()]
-            for j, factors in scope:
-                mask = " & ".join(named.get(t, t) for t in factors)
+            for j, got in steps.get(d, ()):
+                mask = " & ".join(([partial[j]] if j in partial else []) + got)
                 if j > d + 1:
-                    lines.append(f"{pad}m{j}_{d} = {mask}")
+                    partial[j] = f"m{j}_{d}"
+                    lines.append(f"{pad}{partial[j]} = {mask}")
                     if d >= pins:  # inside a loop
-                        lines.append(f"{pad}if not m{j}_{d}: continue")
+                        lines.append(f"{pad}if not {partial[j]}: continue")
                 elif j < p - 1:
                     lines.append(f"{pad}c{j} = {mask}")
                 else:
@@ -321,40 +292,6 @@ def _search_source(plans, pins: int) -> str:
         lines.insert(head, " full = (1 << len(nbr)) - 1")
     lines.append(" return " + ("False" if pins else "None"))
     return "\n".join(lines) + "\n"
-
-
-def _scope_masks(steps, partial: dict[int, str], d: int) -> list[tuple[int, list[str]]]:
-    """The masks one plan writes once position d is bound, as (position,
-    factors), the partials before the candidate mask of position d + 1.
-
-    A partial equal to one already written is not written again: its
-    position takes that name in ``partial``.  A mask takes in, by name, each
-    partial written before it whose terms it has.
-    """
-    out, held = [], []
-    for j, got in sorted(steps, key=lambda step: step[0] == d + 1):
-        rest = ([partial[j]] if j in partial else []) + got
-        terms = set(rest)
-        if j > d + 1 and (same := [name for s, name in held if s == terms]):
-            partial[j] = same[0]
-            continue
-        factors = []
-        for s, name in held:
-            if s <= set(rest):
-                factors.append(name)
-                rest = [t for t in rest if t not in s]
-        out.append((j, factors + rest))
-        if j > d + 1:
-            partial[j] = f"m{j}_{d}"
-            held.append((terms, partial[j]))
-    return out
-
-
-def _read_once(cell: dict[str, str], factor_lists) -> dict[str, str]:
-    """The cells that the factor lists of one scope read more than once,
-    each with the name it is read into at the top of the scope."""
-    reads = Counter(t for factors in factor_lists for t in factors if t in cell)
-    return {t: cell[t] for t, count in reads.items() if count > 1}
 
 
 def _plan(pattern: Pattern, incident, group, start: tuple[int, ...]) -> SearchPlan:

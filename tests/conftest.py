@@ -181,6 +181,8 @@ def reference_parse_hypergraph(text: str) -> TripleSystem:
         if not t[0] < t[1] < t[2]:
             raise ParseError(lineno, f"vertices must be distinct and ascending: {line!r}")
         if t[2] >= n:
+            if not n:
+                raise ParseError(lineno, f"vertex {t[2]} out of range: the host has no vertices")
             raise ParseError(lineno, f"vertex {t[2]} out of range 0..{n - 1}")
         if t in seen:
             raise ParseError(lineno, f"duplicate edge {line!r}")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from triplesys import (
+    K4,
     ParseError,
     StructureCertificate,
     TripleSystem,
@@ -12,6 +13,7 @@ from triplesys import (
     complete_triple_system,
     construct_complete_k_partite,
     find_c5_witness,
+    find_embedding,
     parse_hypergraph,
     serialize_hypergraph,
 )
@@ -276,6 +278,7 @@ class TestHostFormat:
         ("n 4\n0 1 2\n0 1 2\n", 3, "line 3: duplicate edge '0 1 2'"),
         ("n 4\n0 1 9\n", 2, "line 2: vertex 9 out of range 0..3"),
         ("n 64\n0 1 64\n", 2, "line 2: vertex 64 out of range 0..63"),
+        ("n 0\n0 1 2\n", 2, "line 2: vertex 2 out of range: the host has no vertices"),
         ("n 64\n0 01 64\n", 2, "line 2: vertex 64 out of range 0..63"),
         ("n 4\n1 0 3\n", 2, "line 2: vertices must be distinct and ascending: '1 0 3'"),
         ("n 70\n", 1, "line 1: vertex count 70 exceeds the cap of 64"),
@@ -386,6 +389,21 @@ class TestCertificateJson:
         data["map"][0] = data["map"][1]
         with pytest.raises(ValueError):
             result_from_json(data, host)
+
+    def test_embedding_entries_must_be_ints(self):
+        # bools and floats compare equal to the right ints, but a payload
+        # that holds them is not the certificate result_to_json writes
+        host = complete_triple_system(6)
+        good = result_to_json(find_embedding(host, K4))
+        assert good["map"] == [0, 1, 2, 3]
+        for key, value in [
+            ("map", [False, True, 2, 3]),
+            ("map", [0.0, 1, 2, 3]),
+            ("edges", good["edges"][:-1] + [good["edges"][-1][:2] + [3.0]]),
+            ("edges", [[True] + e[1:] for e in good["edges"]]),
+        ]:
+            with pytest.raises(ValueError, match="map and edge entries must be ints"):
+                result_from_json(dict(good, **{key: value}), host)
 
     def test_embedding_edges_must_match_its_map(self):
         host = complete_triple_system(6)

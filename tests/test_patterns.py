@@ -1,7 +1,6 @@
 import itertools
 import pickle
 import random
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -353,47 +352,6 @@ class TestCompiledSearch:
             lex = _SEARCHES[pattern.compiled.lex].__code__.co_filename
             exists = _SEARCHES[pattern.compiled.exists].__code__.co_filename
             assert lex.startswith("<search lex ") and exists.startswith("<search exists ")
-
-    @staticmethod
-    def _blocks(source):
-        """Each block of the generated source (the function body, or the body
-        of one ``while`` or ``if``): the lines it runs itself, not those of
-        the blocks nested in it.  A header line belongs to the block around
-        it, where its test runs."""
-        blocks: dict[int, list[str]] = {}
-        stack = [(-1, -1)]  # (indent of a block's header, its line number)
-        for i, line in enumerate(source.splitlines()):
-            indent = len(line) - len(line.lstrip())
-            while stack[-1][0] >= indent:
-                stack.pop()
-            blocks.setdefault(stack[-1][1], []).append(line)
-            if line.endswith(":"):
-                stack.append((indent, i))
-        return blocks.values()
-
-    def test_generated_code_reads_each_cell_once_per_scope(self):
-        # No block reads one pair-mask cell twice, and no block of a search
-        # computes one expression twice (two equal partials, each with its
-        # own test).  The plans of a through check rebuild their first
-        # candidate masks, which their loops consume, so only the cells are
-        # checked there.
-        for pattern in CATALOG.values():
-            compiled = pattern.compiled
-            for source, single in (
-                (_search_source((compiled.lex,), 0), True),
-                (_search_source((compiled.exists,), 0), True),
-                (_search_source(compiled.through, 3), False),
-            ):
-                for block in self._blocks(source):
-                    cells = [c for line in block for c in re.findall(r"nbr\[x\d+\]\[x\d+\]", line)]
-                    assert len(cells) == len(set(cells)), (pattern.name, block)
-                    if single:
-                        values = [line.split(" = ", 1)[1] for line in block if " = " in line]
-                        assert len(values) == len(set(values)), (pattern.name, block)
-        # the search the rule was first seen in: f32's exists search reads
-        # the cell of its first two vertices once, into one tested partial
-        source = _search_source((F32.compiled.exists,), 0)
-        assert source.count("nbr[x0][x1]") == 1 and source.count("if not m") == 2
 
     def test_compiled_patterns_pickle(self):
         # Every pattern occurs in the complete host; none in a book of three
