@@ -47,15 +47,84 @@ def flip(masks, t) -> None:
 
     A flip is its own inverse, so a search undoes a move by flipping the
     same triple again.  Tables built whole are written without it:
-    ``construct_complete_k_partite`` in closed form, and
-    ``fileio.parse_hypergraph`` from an incidence cube or, for a file in
-    another spelling, in its line loop.
+    ``construct_complete_k_partite`` in closed form, and ``TripleSystem``
+    and ``fileio.parse_hypergraph`` from an incidence cube, or in a loop
+    for an edge list or a file the cube declines.
     """
     u, v, w = t
     ru, rv, rw = masks[u], masks[v], masks[w]
     ru[v] = rv[u] = ru[v] ^ (1 << w)
     ru[w] = rw[u] = ru[w] ^ (1 << v)
     rv[w] = rw[v] = rv[w] ^ (1 << u)
+
+
+def _ascending(n: int, k: int) -> int:
+    """The cube positions (u, v, w) with u < v < w < n."""
+    f = 1 << k - 3  # bytes in one field
+    # the fields of one u-block: field v holds the w with v < w < n
+    row = b"".join(((1 << n) - (2 << v)).to_bytes(f, "little") for v in range(n - 1))
+    row = row.ljust(f << k, b"\0")
+    # block u keeps only the fields v > u
+    return int.from_bytes(
+        b"".join(bytes(f * (u + 1)) + row[f * (u + 1):] for u in range(1 << k)), "little"
+    )
+
+
+def _all_orders(x: int, k: int) -> int:
+    """The cube x with each position in all six orders of its fields: swap
+    (w, v), then (v, u), then (w, v), each time keeping both."""
+    size = 1 << 3 * k
+    for lo in (0, k, 0):  # swap the fields at bits lo and lo + k
+        y = x
+        for i in range(lo, lo + k):  # one bit of each field at a time
+            d, m = _delta_swap(i, k, size)
+            t = (y ^ y >> d) & m
+            y ^= t | t << d
+        x |= y
+    return x
+
+
+def _delta_swap(i: int, k: int, size: int) -> tuple[int, int]:
+    """(d, m) for the delta swap that exchanges bits i and i + k of every
+    position index: m holds the positions with bit i set and bit i + k
+    clear, each of which trades places with the one d above it."""
+    m = ((1 << (1 << i)) - 1) << (1 << i)  # bit i set, over 2 << i positions
+    p = 2 << i
+    while p < size:  # double the pattern, except where bit i + k turns on
+        if p != 1 << i + k:
+            m |= m << p
+        p <<= 1
+    return (1 << i + k) - (1 << i), m
+
+
+def _cube_table(x: int, n: int, k: int) -> list[list[int]]:
+    """The pair-mask table of an n-vertex cube x with k-bit fields, which
+    has bit u << 2k | v << k | w set for each edge in all six orders: field
+    (u, v) is the mask of {u, v}, read for u < v and shared with its mirror."""
+    cells = x.to_bytes(1 << 3 * k - 3, "little")
+    f, fmt = 1 << k - 3, "BHIQ"[k - 3]
+    nbr: list[list[int]] = []
+    for u in range(n):
+        upper = struct.unpack_from(f"<{n - u - 1}{fmt}", cells, ((u << k) + u + 1) * f)
+        nbr.append([row[u] for row in nbr] + [0, *upper])
+    return nbr
+
+
+def _edge_loop(n: int, edges) -> list[list[int]]:
+    """The table of an edge list the cube declines, checked edge by edge."""
+    nbr = [[0] * n for _ in range(n)]
+    for e in edges:
+        t = tuple(sorted(e))
+        if len(t) != 3 or len(set(t)) != 3:
+            raise ValueError(f"edge {t} does not have 3 distinct vertices")
+        u, v, w = t
+        if u < 0 or w >= n:
+            if not n:
+                raise ValueError(f"edge {t} has a vertex out of range: the host has no vertices")
+            raise ValueError(f"edge {t} has a vertex outside 0..{n - 1}")
+        if not nbr[u][v] >> w & 1:  # a repeated edge collapses
+            flip(nbr, t)
+    return nbr
 
 
 def _twin_table(nbr) -> tuple[int, tuple[int, ...]]:
@@ -95,9 +164,11 @@ class TripleSystem:
     """An immutable n-vertex 3-uniform hypergraph.
 
     The host is its table of per-pair neighborhood bitmasks (fast co-degree
-    and intersection queries).  The lexicographically sorted edge tuple
-    (deterministic iteration) and the twin classes are read off the table
-    the first time ``edges`` or ``twins`` is asked for, and kept.
+    and intersection queries), built from an edge list in any vertex order
+    through an incidence cube, as in ``fileio``.  The lexicographically
+    sorted edge tuple (deterministic iteration) and the twin classes are
+    read off the table the first time ``edges`` or ``twins`` is asked for,
+    and kept.
     """
 
     __slots__ = ("n", "_nbr", "_edges", "_twins")
@@ -105,17 +176,21 @@ class TripleSystem:
     def __init__(self, n: int, edges=()):
         if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
-        nbr = [[0] * n for _ in range(n)]
-        for e in edges:
-            t = tuple(sorted(e))
-            if len(t) != 3 or len(set(t)) != 3:
-                raise ValueError(f"edge {t} does not have 3 distinct vertices")
-            u, v, w = t
-            if u < 0 or w >= n:
-                raise ValueError(f"edge {t} has a vertex outside 0..{n - 1}")
-            if not nbr[u][v] >> w & 1:  # a repeated edge collapses
-                flip(nbr, t)
-        self._seal(nbr)
+        edges = tuple(edges)  # _edge_loop may need a second pass
+        k = max(3, (n - 1).bit_length())
+        k2, top, hi = 2 * k, (1 << 3 * k) - 1, 0
+        cube = bytearray(b"0") * (top + 1)  # one byte per position, from the top
+        try:
+            for a, b, c in edges:
+                hi |= a | b | c
+                cube[top - (a << k2 | b << k | c)] = 49  # "1"
+        except Exception:  # whatever it is, _edge_loop raises it
+            hi = -1
+        x = _all_orders(int(cube, 2), k)
+        # no index spills out of its k-bit field, and x is six orders of
+        # edges: a repeated index or one >= n has no order in _ascending
+        ok = 0 <= hi < 1 << k and x.bit_count() == 6 * (x & _ascending(n, k)).bit_count()
+        self._seal(_cube_table(x, n, k) if ok else _edge_loop(n, edges))
 
     @classmethod
     def _from_masks(cls, nbr) -> "TripleSystem":

@@ -12,11 +12,11 @@ line.  The checks run once, in bulk, after the last line: the count of set
 positions finds a repeated edge, and one mask finds a line that is not
 ascending or names a vertex out of range.  Three field swaps of the cube,
 read as one integer, put each edge in all six orders, and the cube then
-unpacks into the host's pair-mask table.  Any other file, and any file that
-fails a check, goes through the line loop, which checks each line as it
-reads it, writes each edge into the table, and gives every ParseError its
-line number.  The host builds its sorted edge tuple only when something
-reads it.
+unpacks into the host's pair-mask table, both in ``core`` and shared with
+``TripleSystem``.  Any other file, and any file that fails a check, goes
+through the line loop, which checks each line as it reads it, writes each
+edge into the table, and gives every ParseError its line number.  Writing
+reads the pair masks too: neither builds the host's sorted edge tuple.
 """
 
 from __future__ import annotations
@@ -24,15 +24,15 @@ from __future__ import annotations
 import itertools
 import json
 import re
-import struct
 
-from .core import MAX_VERTICES, TripleSystem
+from .core import MAX_VERTICES, TripleSystem, _all_orders, _ascending, _cube_table
 from .patterns import Embedding, pattern_by_name, validate_embedding
 from .witness import StructureCertificate
 
 _HEADER_LINE = re.compile(r"^n (\d+)$")
-#: Each vertex index as serialize_hypergraph spells it.
-_INDEX = {str(v): v for v in range(MAX_VERTICES)}
+#: Each vertex index as serialize_hypergraph spells it, and back.
+_NAME = tuple(map(str, range(MAX_VERTICES)))
+_INDEX = {s: v for v, s in enumerate(_NAME)}
 #: Each header line as serialize_hypergraph spells it: its vertex count.
 _HEADER = {f"n {n}": n for n in range(MAX_VERTICES + 1)}
 #: For each field width k of the cube, the three dicts (pu, pv, w) from each
@@ -73,9 +73,8 @@ def _parse_cube(lines) -> TripleSystem | None:
         return None
     k = max(3, (n - 1).bit_length())
     pu, pv, w = _FIELDS[k]
-    size = 1 << 3 * k
-    top = size - 1
-    cube = bytearray(b"0") * size
+    top = (1 << 3 * k) - 1
+    cube = bytearray(b"0") * (top + 1)
     try:
         for line in itertools.islice(lines, 1, None):
             a, b, c = line.split(" ")
@@ -86,54 +85,7 @@ def _parse_cube(lines) -> TripleSystem | None:
     del cube  # the largest object here: free it before the swaps
     if x.bit_count() != len(lines) - 1 or x & ~_ascending(n, k):
         return None
-    # the 2**k bits of field (u, v) are the mask of the pair {u, v}: read
-    # those with u < v, and share each with its mirror, as the line loop does
-    cells = _all_orders(x, k).to_bytes(size >> 3, "little")
-    f, fmt = 1 << k - 3, "BHIQ"[k - 3]
-    nbr: list[list[int]] = []
-    for u in range(n):
-        upper = struct.unpack_from(f"<{n - u - 1}{fmt}", cells, ((u << k) + u + 1) * f)
-        nbr.append([row[u] for row in nbr] + [0, *upper])
-    return TripleSystem._from_masks(nbr)
-
-
-def _ascending(n: int, k: int) -> int:
-    """The cube positions (u, v, w) with u < v < w < n."""
-    f = 1 << k - 3  # bytes in one field
-    # the fields of one u-block: field v holds the w with v < w < n
-    row = b"".join(((1 << n) - (2 << v)).to_bytes(f, "little") for v in range(n - 1))
-    row = row.ljust(f << k, b"\0")
-    # block u keeps only the fields v > u
-    return int.from_bytes(
-        b"".join(bytes(f * (u + 1)) + row[f * (u + 1):] for u in range(1 << k)), "little"
-    )
-
-
-def _all_orders(x: int, k: int) -> int:
-    """The cube x with each position in all six orders of its fields: swap
-    (w, v), then (v, u), then (w, v), each time keeping both."""
-    size = 1 << 3 * k
-    for lo in (0, k, 0):  # swap the fields at bits lo and lo + k
-        y = x
-        for i in range(lo, lo + k):  # one bit of each field at a time
-            d, m = _delta_swap(i, k, size)
-            t = (y ^ y >> d) & m
-            y ^= t | t << d
-        x |= y
-    return x
-
-
-def _delta_swap(i: int, k: int, size: int) -> tuple[int, int]:
-    """(d, m) for the delta swap that exchanges bits i and i + k of every
-    position index: m holds the positions with bit i set and bit i + k
-    clear, each of which trades places with the one d above it."""
-    m = ((1 << (1 << i)) - 1) << (1 << i)  # bit i set, over 2 << i positions
-    p = 2 << i
-    while p < size:  # double the pattern, except where bit i + k turns on
-        if p != 1 << i + k:
-            m |= m << p
-        p <<= 1
-    return (1 << i + k) - (1 << i), m
+    return TripleSystem._from_masks(_cube_table(_all_orders(x, k), n, k))
 
 
 def _parse_lines(lines) -> TripleSystem:
@@ -188,9 +140,19 @@ def _parse_lines(lines) -> TripleSystem:
 
 
 def serialize_hypergraph(host: TripleSystem) -> str:
-    lines = [f"n {host.n}"]
-    lines.extend(f"{u} {v} {w}" for u, v, w in host.edges)
-    return "\n".join(lines) + "\n"
+    """The edges in ``host.edges`` order, read off the masks of the pairs."""
+    nbr, n = host.pair_masks, host.n
+    out = [f"n {n}\n"]
+    for u, row in enumerate(nbr):
+        for v in range(u + 1, n):
+            m, ws = row[v] >> v + 1, []  # the w > v, at bit w - v - 1
+            while m:
+                low = m & -m
+                ws.append(_NAME[low.bit_length() + v])
+                m ^= low
+            if ws:
+                out.append(f"{u} {v} " + f"\n{u} {v} ".join(ws) + "\n")
+    return "".join(out)
 
 
 def read_hypergraph(path: str) -> TripleSystem:

@@ -121,11 +121,12 @@ class Embedding:
 
 
 def validate_embedding(emb: Embedding) -> bool:
-    """True iff the map is injective, in range, and carries every pattern edge."""
+    """True iff the map is injective, of ints (no bool or float) in range,
+    and carries every pattern edge."""
     m = emb.map
     if len(m) != emb.pattern.vertex_count or len(set(m)) != len(m):
         return False
-    if not all(0 <= v < emb.host.n for v in m):
+    if not all(type(v) is int and 0 <= v < emb.host.n for v in m):
         return False
     return all(emb.host.has_edge(m[x], m[y], m[z]) for x, y, z in emb.pattern.edges)
 

@@ -7,7 +7,7 @@ import random
 import re
 
 from triplesys import ParseError, TripleSystem, complete_triple_system
-from triplesys.core import MAX_VERTICES, HostState
+from triplesys.core import MAX_VERTICES, HostState, flip
 
 
 def random_host(n: int, rng: random.Random, density: float = 0.5) -> TripleSystem:
@@ -149,6 +149,37 @@ def interpreted_through_edge(nbr, pattern, edge) -> bool:
     )
 
 
+def reference_triple_system(n: int, edges) -> TripleSystem:
+    """``TripleSystem(n, edges)`` as it was before it built its table
+    through the incidence cube: per edge a sort, three checks and a flip.
+    Frozen here as the oracle for the constructor, and the one
+    ``reference_parse_hypergraph`` builds its host with."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
+    nbr = [[0] * n for _ in range(n)]
+    for e in edges:
+        t = tuple(sorted(e))
+        if len(t) != 3 or len(set(t)) != 3:
+            raise ValueError(f"edge {t} does not have 3 distinct vertices")
+        u, v, w = t
+        if u < 0 or w >= n:
+            if not n:
+                raise ValueError(f"edge {t} has a vertex out of range: the host has no vertices")
+            raise ValueError(f"edge {t} has a vertex outside 0..{n - 1}")
+        if not nbr[u][v] >> w & 1:  # a repeated edge collapses
+            flip(nbr, t)
+    return TripleSystem._from_masks(nbr)
+
+
+def reference_serialize_hypergraph(host: TripleSystem) -> str:
+    """The host-file writer as it was before it read the pair masks: one
+    line per entry of ``host.edges``.  Frozen here as the oracle for
+    ``fileio.serialize_hypergraph``."""
+    lines = [f"n {host.n}"]
+    lines.extend(f"{u} {v} {w}" for u, v, w in host.edges)
+    return "\n".join(lines) + "\n"
+
+
 _EDGE_LINE = re.compile(r"^(\d+) (\d+) (\d+)$")
 _HEADER_LINE = re.compile(r"^n (\d+)$")
 
@@ -156,7 +187,8 @@ _HEADER_LINE = re.compile(r"^n (\d+)$")
 def reference_parse_hypergraph(text: str) -> TripleSystem:
     """The host-file parser as it was before loading built the pair masks:
     a regex per line, a set of the edges seen, and a host built from the
-    edge list.  Frozen here as the oracle for ``fileio.parse_hypergraph``."""
+    edge list by ``reference_triple_system``, so no incidence cube is
+    involved.  Frozen here as the oracle for ``fileio.parse_hypergraph``."""
     n = None
     edges: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
@@ -190,4 +222,4 @@ def reference_parse_hypergraph(text: str) -> TripleSystem:
         edges.append(t)
     if n is None:
         raise ParseError(1, "missing header 'n <count>'")
-    return TripleSystem(n, edges)
+    return reference_triple_system(n, edges)

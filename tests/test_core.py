@@ -6,7 +6,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from triplesys import (
     PreconditionViolated,
@@ -23,7 +23,7 @@ from triplesys import (
     serialize_hypergraph,
     write_hypergraph,
 )
-from triplesys import cli
+from triplesys import cli, core
 from triplesys.core import HostState, mask_vertices
 
 from conftest import (
@@ -32,9 +32,54 @@ from conftest import (
     blow_up,
     no_twins,
     random_host,
+    reference_triple_system,
     scan_min_positive_codegree,
     steiner_join,
 )
+
+#: One n per field width of the cube, 3 to 6 bits, at its least and
+#: greatest n, and the hosts too small for an edge.
+_CUBE_NS = (0, 1, 3, 8, 9, 16, 17, 32, 33, 64)
+#: Bad edges, each made from a triple of distinct vertices (a, b, c) of a
+#: host on n vertices whose cube has k-bit fields.
+_BAD_EDGES = {
+    "two": lambda a, b, c, n, k: (a, b),
+    "four": lambda a, b, c, n, k: (a, b, c, a),
+    "repeated": lambda a, b, c, n, k: (a, b, a),
+    "minus-one": lambda a, b, c, n, k: (a, b, -1),
+    "n": lambda a, b, c, n, k: (a, b, n),
+    "beyond-the-cube": lambda a, b, c, n, k: (a, b, 2**k + 2),
+    "float": lambda a, b, c, n, k: (a, float(b), c),
+    "str": lambda a, b, c, n, k: (a, str(b), c),
+    "bool": lambda a, b, c, n, k: (1, True, 2),
+}
+
+
+@st.composite
+def _edge_lists(draw):
+    """(n, edges): random triples in shuffled vertex order, some repeated,
+    and up to two bad edges from _BAD_EDGES at random places."""
+    n = draw(st.sampled_from(_CUBE_NS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = []
+    if n >= 3:
+        edges = [tuple(rng.sample(range(n), 3)) for _ in range(draw(st.integers(0, 4 * n)))]
+        edges += [tuple(rng.sample(e, 3)) for e in edges[: draw(st.integers(0, len(edges)))]]
+        rng.shuffle(edges)
+    k = max(3, (n - 1).bit_length())
+    for bad in draw(st.lists(st.sampled_from(sorted(_BAD_EDGES)), max_size=2)):
+        a, b, c = rng.sample(range(max(n, 3)), 3)
+        edges.insert(rng.randint(0, len(edges)), _BAD_EDGES[bad](a, b, c, n, k))
+    return n, edges
+
+
+def _build_outcome(build, n, edges):
+    """A construction's result in comparable form: the table, or the error."""
+    try:
+        host = build(n, edges)
+    except Exception as err:
+        return ("error", type(err), str(err))
+    return ("host", host.n, host.pair_masks)
 
 
 class TestTripleSystem:
@@ -47,6 +92,46 @@ class TestTripleSystem:
             TripleSystem(4, [(0, 1, 4)])
         with pytest.raises(ValueError):
             TripleSystem(65)
+        with pytest.raises(ValueError) as err:
+            TripleSystem(0, [(0, 1, 2)])
+        assert str(err.value) == "edge (0, 1, 2) has a vertex out of range: the host has no vertices"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_lists())
+    @example((0, [(0, 1, 2)]))
+    @example((3, [(1, True, 2)]))
+    @example((3, [(0, True, 2), (2, 1, 0)]))
+    @example((64, [(63, 0, 1), (0, 1, 66)]))
+    @example((9, [(8, 0, 1), (1, 0, -1)]))
+    def test_constructor_matches_the_reference(self, case):
+        n, edges = case
+        assert _build_outcome(TripleSystem, n, edges) == _build_outcome(
+            reference_triple_system, n, edges
+        )
+        # a one-pass iterator: the loop must see the edges the cube saw
+        assert _build_outcome(TripleSystem, n, iter(edges)) == _build_outcome(
+            reference_triple_system, n, edges
+        )
+
+    def test_valid_edge_lists_never_reach_the_loop(self, monkeypatch):
+        # every other test passes with a cube that declines every list
+        def loop(n, edges):
+            raise AssertionError("the edge loop read a valid edge list")
+
+        rng = random.Random(27)
+        lists = [
+            list(itertools.combinations(range(64), 3)),
+            list(construct_complete_k_partite(64, 4)[0].edges),
+            list(steiner_join(FANO_LINES, 64).edges),
+            [tuple(rng.sample(range(64), 3)) for _ in range(3000)],
+        ]
+        # each in shuffled vertex order, every edge twice
+        lists += [[tuple(rng.sample(e, 3)) for e in edges * 2] for edges in lists]
+        monkeypatch.setattr(core, "_edge_loop", loop)
+        for edges in lists:
+            assert TripleSystem(64, edges) == reference_triple_system(64, edges)
+        assert complete_triple_system(64).edge_count == 41664
+        assert TripleSystem(64).edge_count == 0
 
     def test_normalizes_and_dedupes(self):
         h = TripleSystem(5, [(2, 1, 0), (0, 1, 2), (4, 3, 2)])

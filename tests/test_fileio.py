@@ -21,7 +21,14 @@ from triplesys import fileio
 from triplesys.core import MAX_VERTICES
 from triplesys.fileio import dump_json, result_from_json, result_to_json
 
-from conftest import AG23_LINES, FANO_LINES, random_host, reference_parse_hypergraph, steiner_join
+from conftest import (
+    AG23_LINES,
+    FANO_LINES,
+    random_host,
+    reference_parse_hypergraph,
+    reference_serialize_hypergraph,
+    steiner_join,
+)
 
 # Host-file texts for the oracle test, built from tokens at the edges of the
 # grammar: decimal digits with leading zeros, indices of 64 and more, and
@@ -270,6 +277,18 @@ class TestHostFormat:
     def test_serialization_is_sorted_ascii_lf(self):
         host = TripleSystem(4, [(1, 2, 3), (0, 1, 2)])
         assert serialize_hypergraph(host) == "n 4\n0 1 2\n1 2 3\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, MAX_VERTICES), st.sampled_from([0.002, 0.05, 0.5]), st.integers(0, 2**32))
+    @example(0, 0.5, 0)
+    @example(MAX_VERTICES, 1.0, 0)  # every triple: the writer's longest file
+    def test_serializer_matches_the_reference(self, n, density, seed):
+        host = random_host(n, random.Random(seed), density)
+        assert serialize_hypergraph(host) == reference_serialize_hypergraph(host)
+        # the writer reads the table, so it must not build the edge tuple
+        fresh = TripleSystem._from_masks([row[:] for row in host.pair_masks])
+        serialize_hypergraph(fresh)
+        assert fresh._edges is None
 
     _PARSE_ERRORS = [
         ("0 1 2\n", 1, "line 1: expected header 'n <count>', got '0 1 2'"),

@@ -108,6 +108,12 @@ class TestValidateEmbedding:
         emb = Embedding(C5, complete_triple_system(5), (0, 1, 2, 3, 7))
         assert not validate_embedding(emb)
 
+    @pytest.mark.parametrize("m", [(False, True, 2, 3), (0, 1.0, 2, 3)], ids=["bools", "float"])
+    def test_entries_equal_to_ints_are_not_vertices(self, m):
+        host = complete_triple_system(6)
+        assert validate_embedding(Embedding(K4, host, (0, 1, 2, 3)))
+        assert not validate_embedding(Embedding(K4, host, m))
+
     def test_no_valid_map_into_c5minus_free_host(self):
         host, _ = construct_complete_k_partite(6, 3)
         for m in itertools.permutations(range(6), 5):
