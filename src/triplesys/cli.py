@@ -120,7 +120,8 @@ def cmd_analyze(args) -> int:
             print(f"fact: {name}", file=sys.stderr)
     else:
         raise PreconditionViolated(
-            f"need min positive co-degree n/2 (n even) or above, got {delta} at n={n}"
+            "need min positive co-degree n/2 (n even) or above,"
+            f" got {'undefined' if delta is None else delta} at n={n}"
         )
     sys.stdout.write(dump_json(result_to_json(result)))
     return EXIT_OK

@@ -8,6 +8,7 @@ throughout the witness extractors O(1).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 
@@ -48,8 +49,8 @@ def flip(masks, t) -> None:
     A flip is its own inverse, so a search undoes a move by flipping the
     same triple again.  Tables built whole are written without it:
     ``construct_complete_k_partite`` in closed form, and ``TripleSystem``
-    and ``fileio.parse_hypergraph`` from an incidence cube, or in a loop
-    for an edge list or a file the cube declines.
+    and ``fileio.parse_hypergraph`` from an incidence cube, except for an
+    edge list the cube declines, which ``_edge_loop`` flips in.
     """
     u, v, w = t
     ru, rv, rw = masks[u], masks[v], masks[w]
@@ -58,6 +59,7 @@ def flip(masks, t) -> None:
     rv[w] = rw[v] = rv[w] ^ (1 << u)
 
 
+@functools.cache
 def _ascending(n: int, k: int) -> int:
     """The cube positions (u, v, w) with u < v < w < n."""
     f = 1 << k - 3  # bytes in one field
@@ -84,6 +86,7 @@ def _all_orders(x: int, k: int) -> int:
     return x
 
 
+@functools.cache
 def _delta_swap(i: int, k: int, size: int) -> tuple[int, int]:
     """(d, m) for the delta swap that exchanges bits i and i + k of every
     position index: m holds the positions with bit i set and bit i + k

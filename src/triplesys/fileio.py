@@ -14,9 +14,10 @@ ascending or names a vertex out of range.  Three field swaps of the cube,
 read as one integer, put each edge in all six orders, and the cube then
 unpacks into the host's pair-mask table, both in ``core`` and shared with
 ``TripleSystem``.  Any other file, and any file that fails a check, goes
-through the line loop, which checks each line as it reads it, writes each
-edge into the table, and gives every ParseError its line number.  Writing
-reads the pair masks too: neither builds the host's sorted edge tuple.
+through the line loop, which checks each line as it reads it, gives every
+ParseError its line number, and builds the host as ``TripleSystem(n,
+edges)`` after the last line: only ``core`` writes pair-mask tables.
+Writing reads the pair masks too: neither builds the host's sorted edge tuple.
 """
 
 from __future__ import annotations
@@ -30,16 +31,15 @@ from .patterns import Embedding, pattern_by_name, validate_embedding
 from .witness import StructureCertificate
 
 _HEADER_LINE = re.compile(r"^n (\d+)$")
-#: Each vertex index as serialize_hypergraph spells it, and back.
+#: Each vertex index as serialize_hypergraph spells it.
 _NAME = tuple(map(str, range(MAX_VERTICES)))
-_INDEX = {s: v for v, s in enumerate(_NAME)}
 #: Each header line as serialize_hypergraph spells it: its vertex count.
 _HEADER = {f"n {n}": n for n in range(MAX_VERTICES + 1)}
 #: For each field width k of the cube, the three dicts (pu, pv, w) from each
-#: index below 2**k, spelled as in _INDEX, to its field of a cube position:
+#: index below 2**k, spelled as in _NAME, to its field of a cube position:
 #: u << 2k, v << k and w.  An index of 2**k or more is in none of them.
 _FIELDS = {
-    k: tuple({s: v << f * k for s, v in _INDEX.items() if v < 1 << k} for f in (2, 1, 0))
+    k: tuple({s: v << f * k for v, s in enumerate(_NAME[: 1 << k])} for f in (2, 1, 0))
     for k in range(3, 7)
 }
 
@@ -90,20 +90,19 @@ def _parse_cube(lines) -> TripleSystem | None:
 
 def _parse_lines(lines) -> TripleSystem:
     """The line loop: every file the cube declines, and every ParseError."""
-    nbr = None
-    index = _INDEX.get
+    edges = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
-        if nbr is None:
+        if edges is None:
             m = _HEADER_LINE.match(line)
             if not m:
                 raise ParseError(lineno, f"expected header 'n <count>', got {line!r}")
             n = int(m.group(1))
             if n > MAX_VERTICES:
                 raise ParseError(lineno, f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
-            nbr = [[0] * n for _ in range(n)]
+            edges = set()
             continue
         fields = line.split(" ")
         if len(fields) != 3:
@@ -111,32 +110,23 @@ def _parse_lines(lines) -> TripleSystem:
                 lineno, f"expected three space-separated integers, got {line!r}"
             )
         a, b, c = fields
-        u, v, w = index(a), index(b), index(c)
-        if u is None or v is None or w is None:
-            # a spelling serialize_hypergraph does not write: leading zeros,
-            # other decimal digits, an index of 64 or more, or no number
-            if not (a.isdecimal() and b.isdecimal() and c.isdecimal()):
-                raise ParseError(
-                    lineno, f"expected three space-separated integers, got {line!r}"
-                )
-            u, v, w = int(a), int(b), int(c)
+        if not (a.isdecimal() and b.isdecimal() and c.isdecimal()):
+            raise ParseError(
+                lineno, f"expected three space-separated integers, got {line!r}"
+            )
+        e = u, v, w = int(a), int(b), int(c)
         if not u < v < w:
             raise ParseError(lineno, f"vertices must be distinct and ascending: {line!r}")
         if w >= n:
             if not n:
                 raise ParseError(lineno, f"vertex {w} out of range: the host has no vertices")
             raise ParseError(lineno, f"vertex {w} out of range 0..{n - 1}")
-        ru, rv, rw = nbr[u], nbr[v], nbr[w]
-        uv = ru[v]
-        if uv >> w & 1:
+        if e in edges:
             raise ParseError(lineno, f"duplicate edge {line!r}")
-        # core.flip written out: the edge is new, so each pair gains one bit
-        ru[v] = rv[u] = uv | 1 << w
-        ru[w] = rw[u] = ru[w] | 1 << v
-        rv[w] = rw[v] = rv[w] | 1 << u
-    if nbr is None:
+        edges.add(e)
+    if edges is None:
         raise ParseError(1, "missing header 'n <count>'")
-    return TripleSystem._from_masks(nbr)
+    return TripleSystem(n, edges)
 
 
 def serialize_hypergraph(host: TripleSystem) -> str:

@@ -235,7 +235,7 @@ def _search_source(plans, pins: int) -> str:
         ]
     else:
         lines = ["def search(nbr, a0, nxt):"]
-    head, full = len(lines), bool(pins)
+    head, full = len(lines), False
     pinned = ""
     for order, closing, above in plans:
         p = len(order)

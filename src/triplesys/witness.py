@@ -280,7 +280,8 @@ def _codegree_above(host: TripleSystem, divisor: int) -> int:
     threshold = n // divisor + 1
     if delta is None or delta < threshold:
         raise PreconditionViolated(
-            f"need min positive co-degree >= {threshold} (strictly above n/{divisor}), got {delta}"
+            f"need min positive co-degree >= {threshold} (strictly above n/{divisor}),"
+            f" got {'undefined' if delta is None else delta}"
         )
     return delta
 
@@ -766,7 +767,8 @@ def analyze_half_degree(
     delta = min_positive_codegree(host)
     if delta is None or delta != n // 2:
         raise PreconditionViolated(
-            f"need min positive co-degree exactly n/2 = {n // 2}, got {delta}"
+            f"need min positive co-degree exactly n/2 = {n // 2},"
+            f" got {'undefined' if delta is None else delta}"
         )
     k4 = find_embedding(host, K4)
     if k4 is None:
@@ -794,13 +796,13 @@ def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
     counterexample tuple when it fails, and a validated C5 embedding when
     the failure mode directly exhibits one.  Raises PreconditionViolated
     unless ``base`` is four distinct host vertices spanning a K4 and
-    ``fact_id`` is in 1..10.
+    ``fact_id`` is an int in 1..10.
     """
     base = tuple(base)
     nm = _k4_matrix(host, base)
     if nm is None:
         raise PreconditionViolated(f"base {base} is not 4 distinct host vertices spanning a K4")
-    if fact_id not in FACT_NAMES:
+    if type(fact_id) is not int or fact_id not in FACT_NAMES:
         raise PreconditionViolated(f"fact_id must be in 1..10, got {fact_id}")
     n = host.n
     delta = min_positive_codegree(host)

@@ -232,6 +232,16 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2
 
+    def test_edgeless_host_says_undefined(self, tmp_path, capsys):
+        path = tmp_path / "e7.txt"
+        path.write_text("n 7\n")
+        code, stdout, err = run(capsys, "analyze", str(path))
+        assert code == 2 and stdout == ""
+        assert err == (
+            "precondition violated: need min positive co-degree n/2 (n even) or above,"
+            " got undefined at n=7\n"
+        )
+
 
 class TestExact:
     def test_six_c5minus(self, tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -287,6 +288,20 @@ class TestCompiledSearch:
                 assert embeds_through_edge(skew, pattern, t) == interpreted_through_edge(
                     skew, pattern, t
                 )
+
+    def test_sources_assign_full_only_where_they_read_it(self):
+        # ``full`` is the candidate mask of a position no pair closes; a
+        # source without such a position must not compute it on every call
+        for pattern in CATALOG.values():
+            compiled = pattern.compiled
+            for source in (
+                _search_source(compiled.through, 3),
+                _search_source((compiled.lex,), 0),
+                _search_source((compiled.exists,), 0),
+            ):
+                uses = len(re.findall(r"\bfull\b", source))
+                assigns = source.count(" full = ")
+                assert assigns == (uses > assigns), (pattern.name, source)
 
     def test_searches_on_the_64_vertex_host_shapes(self):
         # The hosts `free` meets in the 64-vertex benchmark, where a later

@@ -77,6 +77,15 @@ class TestFindC5MinusWitness:
         with pytest.raises(PreconditionViolated):
             find_c5minus_witness(complete_triple_system(5))
 
+    def test_edgeless_host_says_undefined(self):
+        # an edgeless host has no min positive co-degree: the message says
+        # so as `stats` does
+        with pytest.raises(PreconditionViolated) as exc:
+            find_c5minus_witness(TripleSystem(7))
+        assert str(exc.value) == (
+            "need min positive co-degree >= 3 (strictly above n/3), got undefined"
+        )
+
     def test_missing_anchor_edge_case(self):
         # The least 3-of-4 anchor is (2,0,1,3) and its fourth edge {0,1,3}
         # is absent, so the pivot-neighborhood case must fire.
@@ -122,6 +131,13 @@ class TestFindC5Witness:
     def test_small_host_rejected(self):
         with pytest.raises(PreconditionViolated):
             find_c5_witness(complete_triple_system(5))
+
+    def test_edgeless_host_says_undefined(self):
+        with pytest.raises(PreconditionViolated) as exc:
+            find_c5_witness(TripleSystem(8))
+        assert str(exc.value) == (
+            "need min positive co-degree >= 5 (strictly above n/2), got undefined"
+        )
 
 
 class TestK4FreeExtraction:
@@ -194,6 +210,11 @@ class TestAnalyzeHalfDegree:
     def test_odd_vertex_count_rejected(self):
         with pytest.raises(PreconditionViolated):
             analyze_half_degree(complete_triple_system(5))
+
+    def test_edgeless_host_says_undefined(self):
+        with pytest.raises(PreconditionViolated) as exc:
+            analyze_half_degree(TripleSystem(8))
+        assert str(exc.value) == "need min positive co-degree exactly n/2 = 4, got undefined"
 
     def test_dense_boundary_host_yields_cycle(self):
         host = _without_pair(6, 4, 5)
@@ -340,9 +361,11 @@ class TestCheckFact:
                 check_fact(host, base, 1)
 
     def test_rejects_bad_fact_id(self):
+        # a bool or a float equal to a valid fact id is not one
         host, _ = construct_complete_k_partite(8, 4)
-        with pytest.raises(PreconditionViolated):
-            check_fact(host, (0, 2, 4, 6), 11)
+        for fact_id in (11, True, 1.0):
+            with pytest.raises(PreconditionViolated):
+                check_fact(host, (0, 2, 4, 6), fact_id)
 
     def test_four_partite_eight_facts_one_and_two(self):
         host, _ = construct_complete_k_partite(8, 4)
