@@ -14,6 +14,7 @@ import time
 
 from .core import (
     TripleSystem,
+    _codegree_text,
     build_codegree_table,
     construct_complete_k_partite,
     min_positive_codegree,
@@ -67,8 +68,7 @@ class _CliFailure(Exception):
 def cmd_construct(args) -> int:
     host, _ = construct_complete_k_partite(args.n, args.k)
     _save(args.output, host)
-    delta = min_positive_codegree(host)
-    print(f"min_positive_codegree {delta if delta is not None else 'undefined'}")
+    print(f"min_positive_codegree {min_positive_codegree(host)}")  # n >= k >= 3: never None
     print(f"edges {host.edge_count}")
     return EXIT_OK
 
@@ -77,13 +77,13 @@ def cmd_stats(args) -> int:
     host = _load(args.input)
     table = build_codegree_table(host)
     present = [c for c, count in enumerate(table) if count]  # co-degrees that occur
-    positive = [c for c in present if c] or ["undefined"]
+    positive = [c for c in present if c] or [None]  # None: edgeless
     print(f"n {host.n}")
     print(f"edges {host.edge_count}")
-    print(f"min_positive_codegree {positive[0]}")
+    print(f"min_positive_codegree {_codegree_text(positive[0])}")
     print(f"support_pairs {sum(table[1:])}")
     print(f"min_codegree {present[0] if present else 0}")
-    print(f"max_codegree {positive[-1]}")
+    print(f"max_codegree {_codegree_text(positive[-1])}")
     return EXIT_OK
 
 
@@ -121,7 +121,7 @@ def cmd_analyze(args) -> int:
     else:
         raise PreconditionViolated(
             "need min positive co-degree n/2 (n even) or above,"
-            f" got {'undefined' if delta is None else delta} at n={n}"
+            f" got {_codegree_text(delta)} at n={n}"
         )
     sys.stdout.write(dump_json(result_to_json(result)))
     return EXIT_OK

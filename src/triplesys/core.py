@@ -287,9 +287,9 @@ class HostState:
 
     ``pair_masks`` has the layout of ``TripleSystem.pair_masks``, so the
     pattern searches run on it directly; ``hist[c]`` is the number of
-    pairs with co-degree c.  ``toggle`` moves three histogram entries and
-    flips one triple, which lets the local search try a move, read its
-    score off the histogram, and take it back without rebuilding a host.
+    pairs with co-degree c.  ``toggle`` flips one triple, says whether it
+    added it and moves three histogram entries, so the local search can try
+    a move, score it off the histogram and take it back without a rebuild.
     """
 
     __slots__ = ("pair_masks", "hist")
@@ -298,16 +298,18 @@ class HostState:
         self.pair_masks = [row[:] for row in host.pair_masks]
         self.hist = build_codegree_table(host)
 
-    def toggle(self, edge) -> None:
-        """Add the triple if absent, remove it if present."""
+    def toggle(self, edge) -> bool:
+        """Add the triple if absent, remove it if present; True if added."""
         u, v, w = edge
         nbr, hist = self.pair_masks, self.hist
-        d = -1 if nbr[u][v] >> w & 1 else 1  # all three co-degrees move by d
+        added = not nbr[u][v] >> w & 1
+        d = 1 if added else -1  # all three co-degrees move by d
         for a, b in ((u, v), (u, w), (v, w)):
             c = nbr[a][b].bit_count()
             hist[c] -= 1
             hist[c + d] += 1
         flip(nbr, edge)
+        return added
 
     def snapshot(self) -> TripleSystem:
         """A snapshot of the masks as an immutable host."""
@@ -346,6 +348,11 @@ def min_positive_codegree(host: TripleSystem) -> int | None:
     """Minimum co-degree over pairs with nonzero co-degree; None if edgeless."""
     table = build_codegree_table(host)
     return next((c for c in range(1, len(table)) if table[c]), None)
+
+
+def _codegree_text(delta: int | None) -> str:
+    """A min positive co-degree as printed, an edgeless host's None included."""
+    return "undefined" if delta is None else str(delta)
 
 
 def min_codegree(host: TripleSystem) -> int:

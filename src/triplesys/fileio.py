@@ -104,17 +104,11 @@ def _parse_lines(lines) -> TripleSystem:
                 raise ParseError(lineno, f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
             edges = set()
             continue
-        fields = line.split(" ")
-        if len(fields) != 3:
-            raise ParseError(
-                lineno, f"expected three space-separated integers, got {line!r}"
-            )
-        a, b, c = fields
-        if not (a.isdecimal() and b.isdecimal() and c.isdecimal()):
-            raise ParseError(
-                lineno, f"expected three space-separated integers, got {line!r}"
-            )
-        e = u, v, w = int(a), int(b), int(c)
+        match line.split(" "):
+            case [a, b, c] if a.isdecimal() and b.isdecimal() and c.isdecimal():
+                e = u, v, w = int(a), int(b), int(c)
+            case _:
+                raise ParseError(lineno, f"expected three space-separated integers, got {line!r}")
         if not u < v < w:
             raise ParseError(lineno, f"vertices must be distinct and ascending: {line!r}")
         if w >= n:

@@ -202,11 +202,13 @@ def _search_source(plans, pins: int) -> str:
     """Source of one function that runs the plans in turn, unrolled.
 
     With ``pins`` = 3 it is ``through_check(nbr, edge)``, which pins each
-    plan's first three positions to ``edge`` and returns True or False: the
-    pins' closing pairs become one test, shared by consecutive plans with
-    the same test.  With no pins it is ``search(nbr, a0, nxt)``, which
-    returns the first map found, or None; ``(a0, nxt)`` is the host's twin
-    pair (TripleSystem.twins).  Every other position is a loop over its
+    plan's first three positions to ``edge`` and returns True or False.
+    Those positions take an ordered pattern edge, and no other pattern edge
+    lies inside it, so the one pair they close is (x0, x1) at x2 in every
+    plan: the function tests that ``edge`` is in ``nbr`` once, before the
+    first plan.  With no pins it is ``search(nbr, a0, nxt)``, which returns
+    the first map found, or None; ``(a0, nxt)`` is the host's twin pair
+    (TripleSystem.twins).  Every other position is a loop over its
     candidates in ascending host order, except the last: one mask test.
 
     A position's candidate mask is ANDed together while the earlier
@@ -229,14 +231,13 @@ def _search_source(plans, pins: int) -> str:
     if pins:
         lines = [
             "def through_check(nbr, edge):",
-            " " + ", ".join(f"x{i}" for i in range(pins)) + " = edge",
-            " " + ", ".join(f"b{i}" for i in range(pins))
-            + " = " + ", ".join(f"1 << x{i}" for i in range(pins)),
+            " x0, x1, x2 = edge",
+            " b0, b1, b2 = 1 << x0, 1 << x1, 1 << x2",
+            " if not nbr[x0][x1] >> x2 & 1: return False",
         ]
     else:
         lines = ["def search(nbr, a0, nxt):"]
     head, full = len(lines), False
-    pinned = ""
     for order, closing, above in plans:
         p = len(order)
         steps: dict[int, list] = {}  # depth d: (position, terms) once position d is bound
@@ -256,11 +257,7 @@ def _search_source(plans, pins: int) -> str:
                 got = [t for e, t in terms if max(e, start) == d]
                 if got:
                     steps.setdefault(d, []).append((j, got))
-        test = " and ".join(f"nbr[x{a}][x{b}] >> x{i} & 1" for i in range(pins) for a, b in closing[i])
-        if test != pinned:
-            pinned = test
-            lines.append(f" if {test}:")
-        pad = "  " if test else " "
+        pad = " "
         last = f"(c{p - 1} & -c{p - 1}).bit_length() - 1"
         images = (f"x{i}" if i < p - 1 else last for i in map(order.index, range(p)))
         found = "True" if pins else "(" + "".join(f"{x}, " for x in images) + ")"

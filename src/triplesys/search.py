@@ -274,8 +274,9 @@ class _Decision:
 
         def dfs(i: int):
             nonlocal ones, decided
-            # a triangle after i is decided only if it was forced in
-            while i < len(tris) and chosen[tris[i][0]][tris[i][1]] >> tris[i][2] & 1:
+            # a triangle after i is decided only if it was forced in; bit i
+            # of ones is set iff tris[i] is chosen, and none past the last
+            while ones >> i & 1:
                 i += 1
             if i == len(tris):
                 yield TripleSystem._from_masks([row[:] for row in chosen])
@@ -413,13 +414,14 @@ def local_search_lower_bound(
     """Hill-climb on the minimum positive co-degree with single-edge toggles.
 
     Starts from the k-partite seed construction and keeps the best host
-    seen; every accepted move preserves pattern-freeness (additions are
-    checked incrementally through the toggled edge).  Each proposal is
-    toggled into one HostState, whose co-degree histogram gives the score
-    without a rescan, and toggled back if rejected; the masks are the only
-    copy of the current host, snapshotted as a TripleSystem at each new best.  Deterministic for a fixed
-    seed: one ``randrange`` per step.  A result exceeding the known
-    closed-form value would falsify it and raises InternalContradiction.
+    seen; every accepted move preserves pattern-freeness (a toggle that
+    says it added its triple is checked incrementally through that edge).
+    Each proposal is toggled into one HostState, whose co-degree histogram
+    gives the score without a rescan, and toggled back if rejected; the
+    masks are the only copy of the current host, snapshotted as a
+    TripleSystem at each new best.  Deterministic for a fixed seed: one
+    ``randrange`` per step.  A result exceeding the known closed-form value
+    would falsify it and raises InternalContradiction.
     """
     pattern = _catalog_pattern(pattern, "local search")
     if not LOCAL_MIN_N <= n <= LOCAL_MAX_N:
@@ -436,10 +438,7 @@ def local_search_lower_bound(
     all_triples = list(itertools.combinations(range(n), 3))
     for _ in range(budget):
         t = all_triples[rng.randrange(len(all_triples))]
-        u, v, w = t
-        adding = not nbr[u][v] >> w & 1
-        state.toggle(t)
-        if adding and embeds_through_edge(nbr, pattern, t):
+        if state.toggle(t) and embeds_through_edge(nbr, pattern, t):
             state.toggle(t)
             continue
         score = state.score()

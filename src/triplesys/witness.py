@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import TripleSystem, mask_vertices, min_positive_codegree
+from .core import TripleSystem, _codegree_text, mask_vertices, min_positive_codegree
 from .errors import InternalContradiction, PreconditionViolated
 from .patterns import C5, C5MINUS, K4, K4MINUS, Embedding, find_embedding, validate_embedding
 
@@ -281,7 +281,7 @@ def _codegree_above(host: TripleSystem, divisor: int) -> int:
     if delta is None or delta < threshold:
         raise PreconditionViolated(
             f"need min positive co-degree >= {threshold} (strictly above n/{divisor}),"
-            f" got {'undefined' if delta is None else delta}"
+            f" got {_codegree_text(delta)}"
         )
     return delta
 
@@ -768,7 +768,7 @@ def analyze_half_degree(
     if delta is None or delta != n // 2:
         raise PreconditionViolated(
             f"need min positive co-degree exactly n/2 = {n // 2},"
-            f" got {'undefined' if delta is None else delta}"
+            f" got {_codegree_text(delta)}"
         )
     k4 = find_embedding(host, K4)
     if k4 is None:

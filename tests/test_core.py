@@ -386,7 +386,7 @@ class TestHostState:
         pairs = list(itertools.combinations(range(n), 2))
         for _ in range(40):
             t = triples[rng.randrange(len(triples))]
-            state.toggle(t)
+            assert state.toggle(t) is (t not in edges)  # True iff it added t
             edges ^= {t}
             rebuilt = TripleSystem(n, edges)
             assert state.pair_masks == rebuilt.pair_masks

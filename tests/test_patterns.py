@@ -303,6 +303,14 @@ class TestCompiledSearch:
                 assigns = source.count(" full = ")
                 assert assigns == (uses > assigns), (pattern.name, source)
 
+    def test_through_checks_test_the_pinned_edge_once_first(self):
+        # every plan pins an ordered pattern edge, whose only closing pair is
+        # (x0, x1) at x2, so one test before the first plan serves them all
+        for pattern in (*CATALOG.values(), *self.CUSTOM):
+            lines = _search_source(pattern.compiled.through, 3).splitlines()
+            assert lines[3] == " if not nbr[x0][x1] >> x2 & 1: return False", pattern.name
+            assert sum(">>" in line for line in lines) == 1, pattern.name
+
     def test_searches_on_the_64_vertex_host_shapes(self):
         # The hosts `free` meets in the 64-vertex benchmark, where a later
         # candidate set empties most often: balanced 3- and 4-partite hosts,
