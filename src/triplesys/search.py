@@ -35,22 +35,26 @@ relabellings that fix its top assignment.
 The exact value then comes from ascending k starting at the value of the
 complete balanced k-partite seed construction, so tight instances need a
 single refutation call.  decide_exists is the one decision driver: it
-maps the top branches over the process pool that all decision calls of
-one exact run share, or runs them in process.
+runs the top branches in process or, given more than one worker, in
+children it forks for that call alone.  The children take branches from
+one pipe of tickets, one byte per branch, and send each branch's first
+host and node count back; the parent combines them in branch order and
+kills the children once the answer is in.
 
 Both searches change their host one triple at a time with core.flip and
 run patterns.embeds_through_edge on the pair masks, so no move rebuilds a
 host.  That check runs a function generated when the pattern is compiled,
-which exact_copos_ex does (is_free on the seed) before it opens the process
-pool, so the workers inherit it.  The edge phase flips plain tables of open
-and chosen triangles; the local search keeps its host in one
-core.HostState, whose co-degree histogram gives the score.
+which the parent does before it forks, so the children inherit it.  The
+edge phase flips plain tables of open and chosen triangles; the local
+search keeps its host in one core.HostState, whose co-degree histogram
+gives the score.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import os
 import random
 from dataclasses import dataclass
 
@@ -292,17 +296,106 @@ class _Decision:
         return dfs(0)
 
 
-def _run_branch(args):
-    """Worker entry point: one top-level branch of one decision run."""
-    n, pattern_name, k, top_mask = args
-    dec = _Decision(n, pattern_by_name(pattern_name), k)
-    return next(dec.hosts(top_mask), None), dec.nodes
+def _run_branch(n: int, pattern: Pattern, k: int, mask: int):
+    """One top-level branch: its first host or None, and its node count."""
+    dec = _Decision(n, pattern, k)
+    return next(dec.hosts(mask), None), dec.nodes
+
+
+def _forked_branches(n: int, pattern: Pattern, k: int, masks, workers: int):
+    """Yield _run_branch's result for each of ``masks``, in order, computed
+    by ``workers`` forked children (POSIX only).
+
+    The branch indices go into a pipe as one ticket byte each before the
+    fork; a child reads one ticket at a time, runs that branch and writes
+    its record to a shared record pipe, and stops after its first host.
+    Tickets go out in order, so every branch before the first host is
+    taken, and its record arrives, before any child stops.  A branch's
+    exception is raised here when its turn comes.  However the caller
+    stops, every child is killed and reaped before this generator closes.
+    """
+    # Lazy, as the forked path is the only user: keeps them out of the
+    # package's import time.
+    import pickle
+    import signal
+
+    pattern.compiled  # compile once here, so that every child inherits it
+    tickets, ticket_end = os.pipe()
+    os.write(ticket_end, bytes(range(len(masks))))  # at most 34 bytes: never blocks
+    os.close(ticket_end)
+    records, record_end = os.pipe()
+    stream = open(records, "rb")
+    pids = []
+    try:
+        try:
+            for _ in range(workers):
+                pid = os.fork()
+                if pid == 0:
+                    _branch_worker(tickets, record_end, n, pattern, k, masks)
+                pids.append(pid)
+        finally:
+            # only the children hold these now: the record stream ends when
+            # the last child exits
+            os.close(tickets)
+            os.close(record_end)
+        arrived = {}
+        for index in range(len(masks)):
+            while index not in arrived:
+                try:
+                    i, outcome, nodes = pickle.load(stream)
+                except EOFError:
+                    raise RuntimeError(
+                        f"every branch worker exited before top branch {index} was returned"
+                    ) from None
+                arrived[i] = outcome, nodes
+            outcome, nodes = arrived.pop(index)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            yield outcome, nodes
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # an exited child stays a zombie until reaped
+        for pid in pids:
+            os.waitpid(pid, 0)
+        stream.close()
+
+
+def _branch_worker(tickets: int, records: int, n: int, pattern: Pattern, k: int, masks):
+    """A forked child of _forked_branches: runs the branches whose tickets it
+    takes until its first host or the last ticket, then exits without
+    returning, so nothing of the parent's (buffered output, atexit
+    handlers) runs."""
+    import pickle
+    import select
+
+    try:
+        while ticket := os.read(tickets, 1):
+            index = ticket[0]
+            try:
+                outcome, nodes = _run_branch(n, pattern, k, masks[index])
+            except BaseException as exc:  # the parent raises it in branch order
+                outcome, nodes = exc, 0
+            try:
+                record = pickle.dumps((index, outcome, nodes))
+            except Exception:
+                record = b""
+            # A pipe writes up to PIPE_BUF bytes at once, never split by
+            # another child's record; one with a host at n <= 8 takes under
+            # 300.  An exception that does not pickle, or not that short,
+            # travels as a RuntimeError naming it.
+            if not 0 < len(record) <= select.PIPE_BUF:
+                record = pickle.dumps((index, RuntimeError(repr(outcome)[:500]), nodes))
+            os.write(records, record)
+            if outcome is not None:
+                break
+    finally:
+        os._exit(0)
 
 
 def _catalog_pattern(pattern: Pattern | str, task: str) -> Pattern:
     """The catalog pattern that ``pattern`` names (KeyError if none) or is; any
     other Pattern raises PreconditionViolated naming ``task``, since the seed
-    construction, the closed forms and a branch worker know it by name alone."""
+    construction and the closed forms know it by name alone."""
     if isinstance(pattern, str):
         return pattern_by_name(pattern)
     if CATALOG.get(pattern.name) != pattern:
@@ -311,8 +404,10 @@ def _catalog_pattern(pattern: Pattern | str, task: str) -> Pattern:
 
 
 def _check_exact_input(n: int, pattern: Pattern | str) -> Pattern:
-    """The catalog pattern to search, after rejecting what a branch worker cannot
-    run: n outside EXACT_MIN_N..EXACT_MAX_N, or a pattern not in the catalog."""
+    """The catalog pattern to search, after rejecting n outside
+    EXACT_MIN_N..EXACT_MAX_N or a pattern not in the catalog.  decide_exists
+    takes the same input as exact_copos_ex, so it makes only decisions an
+    exact run can make."""
     if not EXACT_MIN_N <= n <= EXACT_MAX_N:
         raise PreconditionViolated(
             f"exact search supports {EXACT_MIN_N} <= n <= {EXACT_MAX_N}, got n={n}"
@@ -320,38 +415,34 @@ def _check_exact_input(n: int, pattern: Pattern | str) -> Pattern:
     return _catalog_pattern(pattern, "exact search")
 
 
-def decide_exists(n: int, pattern: Pattern, k: int, pool=None):
+def decide_exists(n: int, pattern: Pattern, k: int, workers: int = 1):
     """F-free host with min positive co-degree >= k, or None, plus node count.
 
-    Maps the top branches over the executor ``pool``, or runs them in this
-    process when it is None; a worker returns its branch's first host whole,
-    pickled as its pair-mask table.  The result does not depend on the pool:
-    branches are combined in their canonical order and counted up to the
-    first success, exactly as a sequential run would.  A worker gets only
-    the pattern's name, so PreconditionViolated is raised unless ``pattern``
-    is the catalog's pattern of that name and n is in range.
+    Runs the top branches in this process when ``workers`` is below 2, and
+    otherwise in min(workers, branches) children forked for this call,
+    which needs POSIX and, as any fork does, a caller running no other
+    threads; no child outlives the call, whether it returns or raises.
+    The result does not depend on ``workers``: branches are combined in
+    their canonical order and counted up to the first success, exactly as
+    a sequential run would, and an exception a branch raises reaches the
+    caller with its own type.  PreconditionViolated is raised unless
+    ``pattern`` is the catalog's pattern of its name and n is in range.
     """
     pattern = _check_exact_input(n, pattern)
-    branch_args = [(n, pattern.name, k, mask) for mask in _TOP_MASKS[min(n, 5)]]
+    masks = _TOP_MASKS[min(n, 5)]
+    workers = min(workers, len(masks))  # never more workers than branches
+    branches = (
+        _forked_branches(n, pattern, k, masks, workers)
+        if workers > 1
+        else (_run_branch(n, pattern, k, mask) for mask in masks)
+    )
     nodes = 0
-    for host, branch_nodes in (map if pool is None else pool.map)(_run_branch, branch_args):
-        nodes += branch_nodes
-        if host is not None:
-            return host, nodes
+    with contextlib.closing(branches):
+        for host, branch_nodes in branches:
+            nodes += branch_nodes
+            if host is not None:
+                return host, nodes
     return None, nodes
-
-
-def _branch_pool(n: int, jobs: int):
-    """A process pool for the top branches at n, or a null context giving
-    None when at most one worker would run."""
-    # never more workers than branches
-    workers = min(jobs, len(_TOP_MASKS[min(n, 5)]))
-    if workers <= 1:
-        return contextlib.nullcontext()
-    # Lazy: loading the pool machinery costs more than importing the package.
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=workers)
 
 
 def exact_copos_ex(
@@ -361,6 +452,7 @@ def exact_copos_ex(
 
     Ascends k from the seed construction's value; each refuted k certifies
     the value below it by exhausted search.  Capped at n <= EXACT_MAX_N.
+    Every decision call gets ``jobs`` as decide_exists's ``workers``.
     ``on_progress`` receives one status line per decision call.
     """
     pattern = _check_exact_input(n, pattern)
@@ -374,27 +466,24 @@ def exact_copos_ex(
     assert value is not None
     nodes = 0
     k = value + 1
-    with _branch_pool(n, jobs) as pool:
-        while k <= n - 2:
-            if on_progress is not None:
-                on_progress(
-                    f"deciding co-degree >= {k} for {pattern.name}-free hosts on {n} vertices"
-                )
-            host, branch_nodes = decide_exists(n, pattern, k, pool)
-            nodes += branch_nodes
-            if on_progress is not None:
-                on_progress(
-                    f"co-degree >= {k}: {'satisfiable' if host is not None else 'exhausted, none'}"
-                )
-            if host is None:
-                break
-            if not is_free(host, pattern) or (min_positive_codegree(host) or 0) < k:
-                raise InternalContradiction(
-                    "decision search returned an invalid witness",
-                    {"n": n, "pattern": pattern.name, "k": k},
-                )
-            value, extremal = k, host
-            k += 1
+    while k <= n - 2:
+        if on_progress is not None:
+            on_progress(f"deciding co-degree >= {k} for {pattern.name}-free hosts on {n} vertices")
+        host, branch_nodes = decide_exists(n, pattern, k, jobs)
+        nodes += branch_nodes
+        if on_progress is not None:
+            on_progress(
+                f"co-degree >= {k}: {'satisfiable' if host is not None else 'exhausted, none'}"
+            )
+        if host is None:
+            break
+        if not is_free(host, pattern) or (min_positive_codegree(host) or 0) < k:
+            raise InternalContradiction(
+                "decision search returned an invalid witness",
+                {"n": n, "pattern": pattern.name, "k": k},
+            )
+        value, extremal = k, host
+        k += 1
     return SearchOutcome(
         n=n,
         pattern=pattern.name,

@@ -1,3 +1,7 @@
+import pathlib
+import subprocess
+import sys
+
 import triplesys
 from triplesys import InternalContradiction
 
@@ -18,3 +22,19 @@ def test_internal_contradiction_lists_its_state_by_key():
     # what a library caller sees in a traceback when a falsification fires
     assert str(InternalContradiction("m", {"b": 1, "a": [2]})) == "m [a=[2], b=1]"
     assert str(InternalContradiction("m")) == "m"
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # Every command pays for a cold import, and only exact --jobs above 1
+    # forks: the modules its forked path needs are imported there.
+    src = str(pathlib.Path(triplesys.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import triplesys.cli; "
+        "print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    )
+    deferred = ["pickle", "signal", "select", "concurrent.futures", "multiprocessing"]
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, *deferred],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout == "\n"

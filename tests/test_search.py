@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
 import itertools
+import os
+import signal
+import time
 
 import pytest
 
 from triplesys import (
     CATALOG,
+    InternalContradiction,
     Pattern,
     PreconditionViolated,
     TripleSystem,
@@ -19,7 +24,7 @@ from triplesys import (
     naive_find_embedding,
     pattern_by_name,
 )
-from triplesys import search
+from triplesys import cli, search
 
 from conftest import scan_min_positive_codegree
 
@@ -47,8 +52,9 @@ class TestDecision:
         ids=["custom-c5", "non-catalog-name"],
     )
     def test_only_catalog_patterns_are_decided(self, pattern):
-        # a branch worker receives the name alone and looks it up in the
-        # catalog, so it would search the catalog's C5 for the custom "c5"
+        # the exact search knows a pattern by its name (the seed construction
+        # and the closed forms look it up), and decide_exists takes the same
+        # input, so a custom "c5" is refused, not taken for the catalog's C5
         with pytest.raises(PreconditionViolated, match="catalog patterns only"):
             decide_exists(6, pattern, 2)
         with pytest.raises(PreconditionViolated, match="catalog patterns only"):
@@ -66,62 +72,55 @@ class TestDecision:
         assert min_positive_codegree(host) >= 2
 
     def test_worker_count_does_not_change_the_result(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        pattern = pattern_by_name("c5")
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            host1, nodes1 = decide_exists(6, pattern, 2)
-            host2, nodes2 = decide_exists(6, pattern, 2, pool)
-            assert host1 is not None
-            assert host1 == host2
-            assert nodes1 == nodes2
-            none1, n1 = decide_exists(6, pattern, 3)
-            none2, n2 = decide_exists(6, pattern, 3, pool)
-            assert none1 is None and none2 is None and n1 == n2
+        # the forked path against the in-process one, on satisfiable calls
+        # and refutations alike: same host, same node count
+        verdicts = set()
+        for name in sorted(CATALOG):
+            pattern = pattern_by_name(name)
+            for n in (6, 7):
+                for k in range(1, n - 1):
+                    host, nodes = decide_exists(n, pattern, k)
+                    verdicts.add(host is None)
+                    for workers in (2, 3):
+                        forked = decide_exists(n, pattern, k, workers)
+                        assert forked == (host, nodes), (name, n, k, workers)
+        assert verdicts == {True, False}
 
     def test_workers_are_capped_at_the_branch_count(self, monkeypatch):
-        # A stand-in pool runs the branches in this process, so no worker
-        # is ever started; it only records how many were asked for.
-        import concurrent.futures
-
+        # A stand-in for the forked path runs the branches in this process,
+        # so no child is ever started; it records how many were asked for.
         asked = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+        def in_process(n, pattern, k, masks, workers):
+            asked.append(workers)
+            return (search._run_branch(n, pattern, k, mask) for mask in masks)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(search, "_forked_branches", in_process)
+        # each of these runs makes one decision call
         assert exact_copos_ex(6, "c5", jobs=5000) == exact_copos_ex(6, "c5", jobs=1)
-        assert exact_copos_ex(4, "c5", jobs=5000) == exact_copos_ex(4, "c5", jobs=1)
+        assert exact_copos_ex(4, "c5minus", jobs=5000) == exact_copos_ex(4, "c5minus", jobs=1)
         assert asked == [len(search._TOP_MASKS[5]), len(search._TOP_MASKS[4])]
         assert exact_copos_ex(6, "c5", jobs=0) == exact_copos_ex(6, "c5", jobs=1)
         assert len(asked) == 2  # jobs < 2 runs in this process
 
         calls = []
 
-        def recording(n, pattern, k, pool=None):
-            host, nodes = decide_exists(n, pattern, k, pool)
-            calls.append((k, pool, nodes))
+        def recording(n, pattern, k, workers=1):
+            host, nodes = decide_exists(n, pattern, k, workers)
+            calls.append((k, workers, host, nodes))
             return host, nodes
 
         monkeypatch.setattr(search, "decide_exists", recording)
         outcome = exact_copos_ex(7, "k4", jobs=2)
-        assert asked[2:] == [2]
-        # one pool serves every decision call of an exact run: k = 3 finds
-        # a host and k = 4 refutes, and the run counts the nodes of both
-        assert [k for k, _, _ in calls] == [3, 4]
-        assert isinstance(calls[0][1], RecordingPool) and calls[1][1] is calls[0][1]
-        assert outcome.nodes_explored == sum(nodes for _, _, nodes in calls)
+        # every decision call of an exact run gets the same count: k = 3
+        # finds a host and k = 4 refutes, and the run counts the nodes of both
+        assert [(k, workers) for k, workers, _, _ in calls] == [(3, 2), (4, 2)]
+        assert asked[2:] == [2, 2]
+        assert calls[0][2] == outcome.extremal and calls[1][2] is None
+        assert outcome.nodes_explored == sum(nodes for *_, nodes in calls)
         assert outcome == exact_copos_ex(7, "k4", jobs=1)
-        assert [pool for _, pool, _ in calls[2:]] == [None, None]
+        assert [workers for _, workers, _, _ in calls[2:]] == [1, 1]
+        assert len(asked) == 4
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -233,6 +232,131 @@ def _first_hosts(n, pattern, k):
         next(search._Decision(n, pattern, k).hosts(mask), None)
         for mask in search._TOP_MASKS[min(n, 5)]
     ]
+
+
+class Provoked(Exception):
+    """A branch failure a test provokes; defined at module level, so it pickles."""
+
+
+def _raise_provoked(index):
+    raise Provoked(f"branch {index}")
+
+
+def _contradict(index):
+    raise InternalContradiction("provoked in a worker", {"branch": index})
+
+
+def _fail_branches(monkeypatch, failing, failure):
+    """Make the top branches whose indices are in ``failing`` call
+    ``failure(index)`` first.  Forked children inherit the patch."""
+    masks = search._TOP_MASKS[5]
+    original = search._Decision.hosts
+
+    def hosts(self, mask):
+        index = masks.index(mask)
+        if index in failing:
+            failure(index)
+        return original(self, mask)
+
+    monkeypatch.setattr(search._Decision, "hosts", hosts)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process after ``seconds``: a forked call
+    that waits forever fails instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedBranches:
+    """decide_exists with workers: no child outlives the call, and nothing a
+    branch does is hidden from the caller."""
+
+    def test_a_satisfiable_call(self, monkeypatch):
+        pattern = pattern_by_name("k4")
+        firsts = _first_hosts(7, pattern, 3)
+        found = next(i for i, host in enumerate(firsts) if host is not None)
+        assert found == 19  # the 20th of 34 branches: children still run later ones
+        expected = decide_exists(7, pattern, 3)
+        assert expected[0] == firsts[found]
+
+        # A sequential run never reaches the branches after the first host:
+        # a child that hangs in one is killed, and a failure in one never
+        # surfaces, wherever a child ran it.
+        def hang_or_fail(index):
+            if index == found + 1:
+                time.sleep(600)
+            _raise_provoked(index)
+
+        _fail_branches(monkeypatch, range(found + 1, 34), hang_or_fail)
+        for workers in (2, 3):
+            with _deadline(60):
+                assert decide_exists(7, pattern, 3, workers) == expected
+            _assert_no_child_left()
+
+    def test_a_refutation(self):
+        pattern = pattern_by_name("k4")
+        expected = decide_exists(7, pattern, 4)
+        assert expected[0] is None
+        with _deadline(60):
+            assert decide_exists(7, pattern, 4, 2) == expected
+        _assert_no_child_left()
+
+    def test_a_branch_exception_reaches_the_caller_with_its_type(self, monkeypatch):
+        pattern = pattern_by_name("c5")  # (6, c5, 3) is a refutation: every branch runs
+        _fail_branches(monkeypatch, {5, 30}, _raise_provoked)
+        with _deadline(60), pytest.raises(Provoked, match="^branch 5$"):
+            decide_exists(6, pattern, 3, 2)
+        _assert_no_child_left()
+
+        _fail_branches(monkeypatch, {5}, _contradict)
+        with _deadline(60), pytest.raises(InternalContradiction) as raised:
+            decide_exists(6, pattern, 3, 2)
+        assert raised.value.state == {"branch": 5}
+        _assert_no_child_left()
+
+        class Unpicklable(Exception):
+            pass  # local: pickle cannot find it by name
+
+        def unpicklable(index):
+            raise Unpicklable(f"branch {index}")
+
+        _fail_branches(monkeypatch, {5}, unpicklable)
+        with _deadline(60), pytest.raises(RuntimeError, match=r"Unpicklable\('branch 5'\)"):
+            decide_exists(6, pattern, 3, 2)
+        _assert_no_child_left()
+
+    def test_a_worker_contradiction_exits_three(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        _fail_branches(monkeypatch, {5}, _contradict)
+        with _deadline(60):
+            code = cli.main(["exact", "--n", "6", "--pattern", "c5", "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.endswith("internal contradiction: provoked in a worker\n  branch = 5\n")
+        assert list(tmp_path.iterdir()) == []
+        _assert_no_child_left()
+
+    def test_a_worker_that_exits_without_its_record(self, monkeypatch):
+        _fail_branches(monkeypatch, {5}, lambda index: os._exit(0))
+        with _deadline(60), pytest.raises(RuntimeError, match="before top branch 5"):
+            decide_exists(6, pattern_by_name("c5"), 3, 2)
+        _assert_no_child_left()
 
 
 class TestExactValues:
