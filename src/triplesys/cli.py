@@ -9,6 +9,7 @@ error carries progress and diagnostics.  Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -168,7 +169,11 @@ def cmd_localsearch(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing never changes it, and each command reads what it
+    calls from this module's globals when it runs."""
     parser = argparse.ArgumentParser(
         prog="triplesys",
         description="Positive co-degree toolkit for 3-uniform hypergraphs.",
@@ -217,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliFailure as exc:

@@ -35,11 +35,12 @@ relabellings that fix its top assignment.
 The exact value then comes from ascending k starting at the value of the
 complete balanced k-partite seed construction, so tight instances need a
 single refutation call.  decide_exists is the one decision driver: it
-runs the top branches in process or, given more than one worker, in
-children it forks for that call alone.  The children take branches from
-one pipe of tickets, one byte per branch, and send each branch's first
-host and node count back; the parent combines them in branch order and
-kills the children once the answer is in.
+runs the top branches in process, in order.  Given more than one worker,
+a call that has counted about a fork's cost in nodes with two or more
+branches left forks children for those, for that call alone.  The children
+take branches from one pipe of tickets, one byte per branch, and send each
+branch's first host and node count back; the parent combines them in
+branch order and kills the children once the answer is in.
 
 Both searches change their host one triple at a time with core.flip and
 run patterns.embeds_through_edge on the pair masks, so no move rebuilds a
@@ -415,29 +416,50 @@ def _check_exact_input(n: int, pattern: Pattern | str) -> Pattern:
     return _catalog_pattern(pattern, "exact search")
 
 
+# A call that forks at its first branch took 2.2-4.2 ms longer than the same
+# call in process: (6, c5, 3), (7, c5, 4) and (7, k4, 4), workers=2 against
+# workers=1, medians of 30 on a shared 2-core x86 machine, Python 3.11.  The
+# search ran 205-250 nodes/ms there, so a call forks only once it has
+# counted about a fork's cost, 1,000 nodes, in process.  A node count, not a
+# time, so whether a call forks depends on (n, pattern, k, workers) alone.
+_FORK_AFTER_NODES = 1_000
+
+
+def _branch_results(n: int, pattern: Pattern, k: int, workers: int):
+    """Yield _run_branch's result for each top branch, in order: in this
+    process until the nodes counted reach _FORK_AFTER_NODES with at least
+    two branches left for as many workers, and then the branches left from
+    _forked_branches."""
+    masks = _TOP_MASKS[min(n, 5)]
+    nodes = 0
+    for i, mask in enumerate(masks):
+        forks = min(workers, len(masks) - i)  # never more workers than branches left
+        if forks > 1 and nodes >= _FORK_AFTER_NODES:
+            yield from _forked_branches(n, pattern, k, masks[i:], forks)
+            return
+        result = _run_branch(n, pattern, k, mask)
+        nodes += result[1]
+        yield result
+
+
 def decide_exists(n: int, pattern: Pattern, k: int, workers: int = 1):
     """F-free host with min positive co-degree >= k, or None, plus node count.
 
-    Runs the top branches in this process when ``workers`` is below 2, and
-    otherwise in min(workers, branches) children forked for this call,
-    which needs POSIX and, as any fork does, a caller running no other
-    threads; no child outlives the call, whether it returns or raises.
-    The result does not depend on ``workers``: branches are combined in
-    their canonical order and counted up to the first success, exactly as
-    a sequential run would, and an exception a branch raises reaches the
-    caller with its own type.  PreconditionViolated is raised unless
-    ``pattern`` is the catalog's pattern of its name and n is in range.
+    Runs the top branches in this process, in order.  Given more than one
+    worker, once the call has counted _FORK_AFTER_NODES nodes, about the
+    cost of a fork, it hands the branches left, if two or more, to
+    min(workers, branches left) children forked for this call.  That needs
+    POSIX and, as any fork does, a caller running no other threads; no
+    child outlives the call, whether it returns or raises.  The result does
+    not depend on ``workers``: branches are combined in their canonical
+    order and counted up to the first success, exactly as a sequential run
+    would, and an exception a branch raises reaches the caller with its own
+    type.  PreconditionViolated is raised unless ``pattern`` is the
+    catalog's pattern of its name and n is in range.
     """
     pattern = _check_exact_input(n, pattern)
-    masks = _TOP_MASKS[min(n, 5)]
-    workers = min(workers, len(masks))  # never more workers than branches
-    branches = (
-        _forked_branches(n, pattern, k, masks, workers)
-        if workers > 1
-        else (_run_branch(n, pattern, k, mask) for mask in masks)
-    )
     nodes = 0
-    with contextlib.closing(branches):
+    with contextlib.closing(_branch_results(n, pattern, k, workers)) as branches:
         for host, branch_nodes in branches:
             nodes += branch_nodes
             if host is not None:

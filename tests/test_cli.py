@@ -354,3 +354,36 @@ class TestDeterminism:
             assert first_code == second_code == 0, argv
             assert first_out == second_out, argv
             assert first_files == second_files, argv
+
+
+class TestParser:
+    def test_one_parser_serves_every_call_unchanged(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.build_parser() is cli.build_parser()
+        usage = ["exact", "--n", "5", "--pattern", "c6"]
+        with pytest.raises(SystemExit) as exc:
+            main(usage)
+        assert exc.value.code == 2
+        first_error = capsys.readouterr().err
+        assert "invalid choice: 'c6'" in first_error
+
+        jobs = []
+        exact = cli.exact_copos_ex
+
+        def recording(*args, **kwargs):
+            jobs.append(kwargs["jobs"])
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "exact_copos_ex", recording)
+        argv = ("exact", "--n", "5", "--pattern", "c5minus", "--jobs", "2", "--extremal-out", "e.txt")
+        first = run(capsys, *argv)[:2]
+        second = run(capsys, *argv)[:2]
+        assert first == second and first[0] == 0
+        # no option of an earlier call carries over to a later one
+        code, stdout, _ = run(capsys, "exact", "--n", "5", "--pattern", "c5minus")
+        assert code == 0 and json.loads(stdout)["extremalFile"] == "extremal_n5_c5minus.txt"
+        assert jobs == [2, 2, 1]
+        with pytest.raises(SystemExit) as exc:
+            main(usage)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == first_error

@@ -28,6 +28,31 @@ from triplesys import cli, search
 
 from conftest import scan_min_positive_codegree
 
+#: A fork threshold that splits calls between this process and workers:
+#: (6, c5, 3) runs branches 0..14 here and forks for 15..33, and (7, k4, 3)
+#: runs 0..5 here and forks for 6..33, where its first host is branch 19.
+MIXED = 20
+
+
+@pytest.fixture
+def fork_at_once(monkeypatch):
+    """A decision call with workers forks before its first branch, so every
+    branch runs in a child, as the forked-path tests need."""
+    monkeypatch.setattr(search, "_FORK_AFTER_NODES", 0)
+
+
+def _record_forks(monkeypatch):
+    """The list of the first branch of each forked remainder, in call order."""
+    starts = []
+    forked = search._forked_branches
+
+    def recording(n, pattern, k, masks, workers):
+        starts.append(len(search._TOP_MASKS[min(n, 5)]) - len(masks))
+        return forked(n, pattern, k, masks, workers)
+
+    monkeypatch.setattr(search, "_forked_branches", recording)
+    return starts
+
 
 class TestDecision:
     @pytest.mark.parametrize("m", [4, 5])
@@ -71,22 +96,28 @@ class TestDecision:
         assert is_free(host, pattern_by_name("c5"))
         assert min_positive_codegree(host) >= 2
 
-    def test_worker_count_does_not_change_the_result(self):
-        # the forked path against the in-process one, on satisfiable calls
-        # and refutations alike: same host, same node count
+    def test_worker_count_does_not_change_the_result(self, monkeypatch):
+        # workers against the in-process path, on satisfiable calls and
+        # refutations alike: same host, same node count, whether every
+        # branch is forked, a prefix runs here and the rest is forked, or
+        # the default threshold decides
         verdicts = set()
-        for name in sorted(CATALOG):
-            pattern = pattern_by_name(name)
-            for n in (6, 7):
-                for k in range(1, n - 1):
-                    host, nodes = decide_exists(n, pattern, k)
-                    verdicts.add(host is None)
-                    for workers in (2, 3):
-                        forked = decide_exists(n, pattern, k, workers)
-                        assert forked == (host, nodes), (name, n, k, workers)
+        starts = _record_forks(monkeypatch)
+        for fork_after in (0, MIXED, search._FORK_AFTER_NODES):
+            monkeypatch.setattr(search, "_FORK_AFTER_NODES", fork_after)
+            for name in sorted(CATALOG):
+                pattern = pattern_by_name(name)
+                for n in (6, 7):
+                    for k in range(1, n - 1):
+                        host, nodes = decide_exists(n, pattern, k)
+                        verdicts.add(host is None)
+                        for workers in (2, 3):
+                            forked = decide_exists(n, pattern, k, workers)
+                            assert forked == (host, nodes), (fork_after, name, n, k, workers)
         assert verdicts == {True, False}
+        assert 0 in starts and any(start > 0 for start in starts)
 
-    def test_workers_are_capped_at_the_branch_count(self, monkeypatch):
+    def test_workers_are_capped_at_the_branch_count(self, monkeypatch, fork_at_once):
         # A stand-in for the forked path runs the branches in this process,
         # so no child is ever started; it records how many were asked for.
         asked = []
@@ -283,9 +314,11 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("fork_at_once")
 class TestForkedBranches:
     """decide_exists with workers: no child outlives the call, and nothing a
-    branch does is hidden from the caller."""
+    branch does is hidden from the caller.  Every branch runs in a child,
+    except in the mixed cases, where a prefix runs in this process."""
 
     def test_a_satisfiable_call(self, monkeypatch):
         pattern = pattern_by_name("k4")
@@ -308,6 +341,26 @@ class TestForkedBranches:
             with _deadline(60):
                 assert decide_exists(7, pattern, 3, workers) == expected
             _assert_no_child_left()
+
+    def test_a_satisfiable_call_after_a_prefix_in_process(self, monkeypatch):
+        pattern = pattern_by_name("k4")
+        expected = decide_exists(7, pattern, 3)
+        monkeypatch.setattr(search, "_FORK_AFTER_NODES", MIXED)
+        starts = _record_forks(monkeypatch)
+
+        # the host is branch 19's, from a child; the child that hangs in
+        # branch 20 is killed, and the failures after it never surface
+        def hang_or_fail(index):
+            if index == 20:
+                time.sleep(600)
+            _raise_provoked(index)
+
+        _fail_branches(monkeypatch, range(20, 34), hang_or_fail)
+        for workers in (2, 3):
+            with _deadline(60):
+                assert decide_exists(7, pattern, 3, workers) == expected
+            _assert_no_child_left()
+        assert starts == [6, 6]
 
     def test_a_refutation(self):
         pattern = pattern_by_name("k4")
@@ -341,6 +394,24 @@ class TestForkedBranches:
             decide_exists(6, pattern, 3, 2)
         _assert_no_child_left()
 
+    def test_a_branch_exception_in_a_mixed_call_keeps_its_type(self, monkeypatch):
+        pattern = pattern_by_name("c5")
+        monkeypatch.setattr(search, "_FORK_AFTER_NODES", MIXED)
+        starts = _record_forks(monkeypatch)
+        # branch 30 runs in a child
+        _fail_branches(monkeypatch, {30}, _raise_provoked)
+        with _deadline(60), pytest.raises(Provoked, match="^branch 30$"):
+            decide_exists(6, pattern, 3, 2)
+        _assert_no_child_left()
+        assert starts == [15]
+        # branch 5 runs in this process, before any fork
+        _fail_branches(monkeypatch, {5, 30}, _contradict)
+        with _deadline(60), pytest.raises(InternalContradiction) as raised:
+            decide_exists(6, pattern, 3, 2)
+        assert raised.value.state == {"branch": 5}
+        _assert_no_child_left()
+        assert starts == [15]
+
     def test_a_worker_contradiction_exits_three(self, monkeypatch, tmp_path, capsys):
         monkeypatch.chdir(tmp_path)
         _fail_branches(monkeypatch, {5}, _contradict)
@@ -357,6 +428,43 @@ class TestForkedBranches:
         with _deadline(60), pytest.raises(RuntimeError, match="before top branch 5"):
             decide_exists(6, pattern_by_name("c5"), 3, 2)
         _assert_no_child_left()
+
+
+class TestForkThreshold:
+    """The default threshold: a call forks only once it has run about a
+    fork's cost in this process, and then its output does not change."""
+
+    def test_no_call_forks_up_to_seven(self, monkeypatch):
+        def refuse():
+            raise AssertionError("a decision call forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        for n in range(4, 8):
+            for name in sorted(CATALOG):
+                expected = exact_copos_ex(n, name)
+                for jobs in (2, 3):
+                    assert exact_copos_ex(n, name, jobs=jobs) == expected, (n, name, jobs)
+
+    def test_a_long_call_takes_its_host_from_a_worker(self, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counting():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        expected = exact_copos_ex(8, "f32")
+        monkeypatch.setattr(os, "fork", counting)
+        starts = _record_forks(monkeypatch)
+        with _deadline(120):
+            outcome = exact_copos_ex(8, "f32", jobs=2)
+        _assert_no_child_left()
+        assert outcome == expected and outcome.value == 4
+        # only the k = 4 call forks, before branch 31: no host came before
+        # it, so the host is a worker's
+        assert starts == [31] and len(forks) == 2
 
 
 class TestExactValues:
