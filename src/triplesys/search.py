@@ -7,9 +7,10 @@ least k).  A live pair with fewer than k remaining compatible third
 vertices fails immediately; within a completed pair skeleton, edges are
 chosen among the skeleton's triangles with unit propagation on the per-pair
 counts and incremental pattern detection through each added edge.  The
-whole state is bitmask rows in the pair-mask layout (live and not-dead
-pairs in the skeleton, open and chosen triangles per pair in the edge
-phase), so every count is a popcount of a mask and cannot drift.  Both
+whole state is bitmasks: rows in the pair-mask layout (live and not-dead
+pairs in the skeleton, chosen triangles per pair in the edge phase) and
+each phase's lex string below, over whose positions a pair's open count is
+read, so every count is a popcount of a mask and cannot drift.  Both
 phases are generators: one top-level branch yields the hosts it reaches,
 in search order, and decide_exists takes the first host in branch order.
 Isomorph rejection happens at the top of the tree: the pair states inside
@@ -25,9 +26,11 @@ set, and then the skeleton's triangles, chosen as set.  The check prunes
 once a vertex transposition maps every completion to a lex-greater string:
 in the skeleton phase the adjacent ones that fix the top assignment, in the
 edge phase every one that fixes both the top assignment and the skeleton.
-Both phases decide set first (and a forced triangle is chosen), so their
-leaves come in decreasing lex order, and the first skeleton with a host
-and its first host are the greatest of their orbits and never pruned.
+Both phases read the positions a transposition swaps off one table per n
+of the pairs, or the triangles, that it moves.  Both phases decide set
+first (and a forced triangle is chosen), so their leaves come in
+decreasing lex order, and the first skeleton with a host and its first
+host are the greatest of their orbits and never pruned.
 Each branch's first host, and with it every decide_exists result, is the
 one the unpruned search finds, and a branch yields every host up to the
 relabellings that fix its top assignment.
@@ -46,14 +49,15 @@ Both searches change their host one triple at a time with core.flip and
 run patterns.embeds_through_edge on the pair masks, so no move rebuilds a
 host.  That check runs a function generated when the pattern is compiled,
 which the parent does before it forks, so the children inherit it.  The
-edge phase flips plain tables of open and chosen triangles; the local
-search keeps its host in one core.HostState, whose co-degree histogram
-gives the score.
+edge phase flips a plain table of chosen triangles, and undoes a move by
+flipping the triangles its lex string gained; the local search keeps its
+host in one core.HostState, whose co-degree histogram gives the score.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
 import random
@@ -109,15 +113,25 @@ _TOP_MASKS = {
 }
 
 
-def _moved_pairs(positions, index, a: int, b: int) -> list[tuple[int, int]]:
-    """The position pairs (i, j), i < j, in order, that the transposition
-    (a, b), a < b, swaps: ``positions`` are sorted vertex tuples in lex order
-    that it maps onto themselves, and ``index`` gives their positions."""
-    return [
-        (i, index[tuple(sorted(b if x == a else x for x in p))])
-        for i, p in enumerate(positions)
-        if a in p and b not in p
-    ]
+@functools.cache
+def _transpositions(n: int, r: int) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """For each transposition (a, b), a < b, of range(n): the r-sets it moves,
+    the ones holding a and not b, each with its image, in lex order.  A set
+    is its vertex bitmask."""
+    sets = [sum(1 << x for x in c) for c in itertools.combinations(range(n), r)]
+    return {
+        (a, b): tuple((s, s ^ (1 << a | 1 << b)) for s in sets if s >> a & 1 and not s >> b & 1)
+        for a, b in itertools.combinations(range(n), 2)
+    }
+
+
+def _swaps(n: int, r: int, rank, transpositions) -> list[list[tuple[int, int]]]:
+    """Each transposition's position pairs (i, j), i < j, in order of i, as
+    _Decision._lex_ok reads them: ``rank`` maps the r-set bitmasks of a bit
+    string's positions, which every one of ``transpositions`` maps onto
+    themselves, to their positions."""
+    moves = _transpositions(n, r)
+    return [[(rank[s], rank[t]) for s, t in moves[ab] if s in rank] for ab in transpositions]
 
 
 class _Decision:
@@ -127,10 +141,11 @@ class _Decision:
     work done up to the last host taken, and no other attribute changes:
     a branch's state is local.  Skeleton phase: ``live[u]`` holds the pairs
     at u decided live and ``ndadj[u]`` those not decided dead.  Edge phase:
-    ``opened[u][v]`` holds the third vertices of the live pair's triangles
-    not set out, and ``chosen[u][v]`` those of the chosen ones; its
-    undecided triangles are ``opened & ~chosen``.  Both tables change only
-    through core.flip.  Each phase also keeps its ``_lex_ok`` string.
+    its ``_lex_ok`` string over the skeleton's triangles is its state, and
+    ``chosen[u][v]``, changed only through core.flip, holds the third
+    vertices of the chosen triangles for the pattern check.  A live pair's
+    open and undecided triangles are its mask of positions less the cleared
+    and the decided ones.
     """
 
     def __init__(self, n: int, pattern: Pattern, k: int):
@@ -162,7 +177,7 @@ class _Decision:
             return
         top = set(top_pairs)
         rest = [p for p in _pairs_within(n) if p not in top]
-        index = {p: i for i, p in enumerate(rest)}
+        rank = {1 << u | 1 << v: i for i, (u, v) in enumerate(rest)}
         # the transpositions that fix the top assignment: rows a and b
         # agree in both tables off the pair {a, b}
         top_fixing = [
@@ -170,7 +185,7 @@ class _Decision:
             for a, b in _pairs_within(n)
             if not (live[a] ^ live[b] | ndadj[a] ^ ndadj[b]) & ~(1 << a | 1 << b)
         ]
-        rest_swaps = [_moved_pairs(rest, index, a, b) for a, b in top_fixing if b == a + 1]
+        rest_swaps = _swaps(n, 2, rank, [(a, b) for a, b in top_fixing if b == a + 1])
 
         def skeletons(idx, ones):
             """Yield ``live``, changed in place, at each complete skeleton with
@@ -207,7 +222,13 @@ class _Decision:
 
     def _live_ok(self, live, ndadj, u) -> bool:
         """Every live pair at u keeps k candidate third vertices."""
-        return all((ndadj[u] & ndadj[v]).bit_count() >= self.k for v in mask_vertices(live[u]))
+        row, pairs = ndadj[u], live[u]
+        while pairs:
+            low = pairs & -pairs
+            if (row & ndadj[low.bit_length() - 1]).bit_count() < self.k:
+                return False
+            pairs ^= low
+        return True
 
     def _lex_ok(self, swaps, ones, decided) -> bool:
         """False when a swap maps every completion of the bit string to a
@@ -239,43 +260,50 @@ class _Decision:
             for v in mask_vertices(live[u] >> (u + 1) << (u + 1))
             for w in mask_vertices(live[u] & live[v] >> (v + 1) << (v + 1))
         ]
-        position = {t: i for i, t in enumerate(tris)}
-        swaps = [
-            _moved_pairs(tris, position, a, b)
-            for a, b in fixing
-            if not (live[a] ^ live[b]) & ~(1 << a | 1 << b)
-        ]
-        opened = [[live[u] & live[v] for v in range(n)] for u in range(n)]  # read at live pairs
+        rank = {1 << u | 1 << v | 1 << w: i for i, (u, v, w) in enumerate(tris)}
+        swaps = _swaps(
+            n, 3, rank, [(a, b) for a, b in fixing if not (live[a] ^ live[b]) & ~(1 << a | 1 << b)]
+        )
+        # the positions of each live pair's triangles, and per position its
+        # three pairs' masks: a pair's open triangles are those not cleared,
+        # ``decided & ~ones``, and its undecided ones are ``~decided``
+        at = [[0] * n for _ in range(n)]
+        for i, (u, v, w) in enumerate(tris):
+            at[u][v] |= 1 << i
+            at[u][w] |= 1 << i
+            at[v][w] |= 1 << i
+        pairs_at = [(at[u][v], at[u][w], at[v][w]) for u, v, w in tris]
         chosen = [[0] * n for _ in range(n)]
-        trail: list[tuple] = []  # (table, triangle): each flip is its own inverse
         ones = decided = 0  # the chosen and the decided positions of tris
 
-        def set_in(t) -> bool:
+        def set_in(i: int) -> bool:
             nonlocal ones, decided
             self.nodes += 1
+            t = tris[i]
             flip(chosen, t)
-            trail.append((chosen, t))
-            ones |= 1 << position[t]
-            decided |= 1 << position[t]
+            ones |= 1 << i
+            decided |= 1 << i
             return not embeds_through_edge(chosen, pattern, t)
 
-        def set_out(t) -> bool:
+        def set_out(i: int) -> bool:
             nonlocal decided
             self.nodes += 1
-            flip(opened, t)
-            trail.append((opened, t))
-            decided |= 1 << position[t]
-            u, v, w = t
-            forced = []
-            for a, b in ((u, v), (u, w), (v, w)):
-                total = opened[a][b].bit_count()
-                if total < k:
-                    return False
-                if total == k:  # every undecided triangle of the pair is forced in
-                    undecided = opened[a][b] & ~chosen[a][b]
-                    forced.extend(tuple(sorted((a, b, c))) for c in mask_vertices(undecided))
-            # the three pairs share no triangle but t, so none is forced twice
-            return all(set_in(tj) for tj in forced)
+            decided |= 1 << i
+            cleared = decided & ~ones
+            totals = [(m & ~cleared).bit_count() for m in pairs_at[i]]
+            if min(totals) < k:
+                return False
+            # a pair with k open triangles forces in its undecided ones, pair
+            # by pair in ascending position, which is ascending third vertex;
+            # the three pairs share no triangle but tris[i]
+            for m, total in zip(pairs_at[i], totals):
+                forced = m & ~decided if total == k else 0
+                while forced:
+                    low = forced & -forced
+                    if not set_in(low.bit_length() - 1):
+                        return False
+                    forced ^= low
+            return True
 
         def dfs(i: int):
             nonlocal ones, decided
@@ -286,12 +314,15 @@ class _Decision:
             if i == len(tris):
                 yield TripleSystem._from_masks([row[:] for row in chosen])
                 return
-            mark, string = len(trail), (ones, decided)
+            string = ones, decided
             for step in (set_in, set_out):
-                if step(tris[i]) and self._lex_ok(swaps, ones, decided):
+                if step(i) and self._lex_ok(swaps, ones, decided):
                     yield from dfs(i + 1)
-                while len(trail) > mark:
-                    flip(*trail.pop())
+                added = ones ^ string[0]  # each flip is its own inverse
+                while added:
+                    low = added & -added
+                    flip(chosen, tris[low.bit_length() - 1])
+                    added ^= low
                 ones, decided = string
 
         return dfs(0)
@@ -303,15 +334,15 @@ def _run_branch(n: int, pattern: Pattern, k: int, mask: int):
     return next(dec.hosts(mask), None), dec.nodes
 
 
-def _forked_branches(n: int, pattern: Pattern, k: int, masks, workers: int):
-    """Yield _run_branch's result for each of ``masks``, in order, computed
-    by ``workers`` forked children (POSIX only).
+def _forked_branches(n: int, pattern: Pattern, k: int, start: int, workers: int):
+    """Yield _run_branch's result for each top branch from index ``start``
+    on, in order, computed by ``workers`` forked children (POSIX only).
 
-    The branch indices go into a pipe as one ticket byte each before the
-    fork; a child reads one ticket at a time, runs that branch and writes
-    its record to a shared record pipe, and stops after its first host.
-    Tickets go out in order, so every branch before the first host is
-    taken, and its record arrives, before any child stops.  A branch's
+    The branch indices in _TOP_MASKS go into a pipe as one ticket byte each
+    before the fork; a child reads one ticket at a time, runs that branch
+    and writes its record to a shared record pipe, and stops after its first
+    host.  Tickets go out in order, so every branch before the first host
+    is taken, and its record arrives, before any child stops.  A branch's
     exception is raised here when its turn comes.  However the caller
     stops, every child is killed and reaped before this generator closes.
     """
@@ -321,8 +352,9 @@ def _forked_branches(n: int, pattern: Pattern, k: int, masks, workers: int):
     import signal
 
     pattern.compiled  # compile once here, so that every child inherits it
+    masks = _TOP_MASKS[min(n, 5)]
     tickets, ticket_end = os.pipe()
-    os.write(ticket_end, bytes(range(len(masks))))  # at most 34 bytes: never blocks
+    os.write(ticket_end, bytes(range(start, len(masks))))  # at most 34 bytes: never blocks
     os.close(ticket_end)
     records, record_end = os.pipe()
     stream = open(records, "rb")
@@ -340,7 +372,7 @@ def _forked_branches(n: int, pattern: Pattern, k: int, masks, workers: int):
             os.close(tickets)
             os.close(record_end)
         arrived = {}
-        for index in range(len(masks)):
+        for index in range(start, len(masks)):
             while index not in arrived:
                 try:
                     i, outcome, nodes = pickle.load(stream)
@@ -416,12 +448,14 @@ def _check_exact_input(n: int, pattern: Pattern | str) -> Pattern:
     return _catalog_pattern(pattern, "exact search")
 
 
-# A call that forks at its first branch took 2.2-4.2 ms longer than the same
+# A call that forks at its first branch took 4.0-7.5 ms longer than the same
 # call in process: (6, c5, 3), (7, c5, 4) and (7, k4, 4), workers=2 against
 # workers=1, medians of 30 on a shared 2-core x86 machine, Python 3.11.  The
-# search ran 205-250 nodes/ms there, so a call forks only once it has
-# counted about a fork's cost, 1,000 nodes, in process.  A node count, not a
-# time, so whether a call forks depends on (n, pattern, k, workers) alone.
+# search ran 220-470 nodes/ms there at n = 7 and 8, so a fork costs about
+# 1,000-3,000 nodes, and a call forks only once it has counted 1,000 nodes
+# in process, the low end, where the tests and CI pin the n = 8 forks.  A
+# node count, not a time, so whether a call forks depends on (n, pattern,
+# k, workers) alone.
 _FORK_AFTER_NODES = 1_000
 
 
@@ -435,7 +469,7 @@ def _branch_results(n: int, pattern: Pattern, k: int, workers: int):
     for i, mask in enumerate(masks):
         forks = min(workers, len(masks) - i)  # never more workers than branches left
         if forks > 1 and nodes >= _FORK_AFTER_NODES:
-            yield from _forked_branches(n, pattern, k, masks[i:], forks)
+            yield from _forked_branches(n, pattern, k, i, forks)
             return
         result = _run_branch(n, pattern, k, mask)
         nodes += result[1]

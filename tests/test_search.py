@@ -23,6 +23,7 @@ from triplesys import (
     min_positive_codegree,
     naive_find_embedding,
     pattern_by_name,
+    serialize_hypergraph,
 )
 from triplesys import cli, search
 
@@ -46,12 +47,34 @@ def _record_forks(monkeypatch):
     starts = []
     forked = search._forked_branches
 
-    def recording(n, pattern, k, masks, workers):
-        starts.append(len(search._TOP_MASKS[min(n, 5)]) - len(masks))
-        return forked(n, pattern, k, masks, workers)
+    def recording(n, pattern, k, start, workers):
+        starts.append(start)
+        return forked(n, pattern, k, start, workers)
 
     monkeypatch.setattr(search, "_forked_branches", recording)
     return starts
+
+
+def _moved_pairs(positions, index, a: int, b: int) -> list[tuple[int, int]]:
+    """The slow oracle of search._swaps: the position pairs (i, j), i < j, in
+    order, that the transposition (a, b), a < b, swaps.  ``positions`` are
+    sorted vertex tuples in lex order that it maps onto themselves, and
+    ``index`` gives their positions."""
+    return [
+        (i, index[tuple(sorted(b if x == a else x for x in p))])
+        for i, p in enumerate(positions)
+        if a in p and b not in p
+    ]
+
+
+def _bits(vertices) -> int:
+    return sum(1 << x for x in vertices)
+
+
+def _transposed(sets, a, b):
+    """The image of a set of vertex tuples under the transposition (a, b)."""
+    swap = {a: b, b: a}
+    return {tuple(sorted(swap.get(x, x) for x in p)) for p in sets}
 
 
 class TestDecision:
@@ -70,6 +93,77 @@ class TestDecision:
             for mask in range(1 << len(pairs))
         }
         assert search._TOP_MASKS[m] == tuple(sorted(least))
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_the_transposition_table_is_regenerated_by_brute_force(self, n):
+        # every r-set each transposition moves, with its image, in lex order
+        for r in (2, 3):
+            table = search._transpositions(n, r)
+            assert sorted(table) == search._pairs_within(n)
+            for (a, b), moves in table.items():
+                expected = [
+                    (_bits(s), _bits(image))
+                    for s in itertools.combinations(range(n), r)
+                    for (image,) in [_transposed([s], a, b)]
+                    if image != s and a in s
+                ]
+                assert list(moves) == expected, (r, a, b)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_skeleton_swaps_match_the_slow_oracle(self, n):
+        # the pairs after the top ones, under each adjacent transposition
+        # that keeps the top assignment's live pairs, for every top mask
+        top_pairs = search._pairs_within(min(n, 5))
+        rest = [p for p in search._pairs_within(n) if p not in top_pairs]
+        index = {p: i for i, p in enumerate(rest)}
+        rank = {_bits(p): i for i, p in enumerate(rest)}
+        for mask in search._TOP_MASKS[min(n, 5)]:
+            live = {p for i, p in enumerate(top_pairs) if mask >> i & 1}
+            adjacent = [
+                (a, a + 1)
+                for a in range(n - 1)
+                if _transposed(top_pairs, a, a + 1) == set(top_pairs)
+                and _transposed(live, a, a + 1) == live
+            ]
+            assert search._swaps(n, 2, rank, adjacent) == [
+                _moved_pairs(rest, index, a, b) for a, b in adjacent
+            ], mask
+
+    def test_edge_phase_swaps_match_the_slow_oracle(self, monkeypatch):
+        # every complete skeleton of four n = 7 branches, under the
+        # transpositions of the top assignment that fix the skeleton
+        calls = []
+        edge_phase, swaps = search._Decision._edge_phase, search._swaps
+
+        def recording_phase(self, live, fixing):
+            calls.append([live[:], list(fixing)])
+            return edge_phase(self, live, fixing)
+
+        def recording_swaps(n, r, rank, transpositions):
+            result = swaps(n, r, rank, transpositions)
+            if r == 3:
+                calls[-1] += [dict(rank), list(transpositions), result]
+            return result
+
+        monkeypatch.setattr(search._Decision, "_edge_phase", recording_phase)
+        monkeypatch.setattr(search, "_swaps", recording_swaps)
+        masks = search._TOP_MASKS[5]
+        for mask in (masks[5], masks[20], masks[-2], masks[-1]):
+            for _ in search._Decision(7, pattern_by_name("c5minus"), 2).hosts(mask):
+                pass
+        assert len(calls) > 100
+        for live, fixing, rank, transpositions, result in calls:
+            pairs = {(u, v) for u, v in search._pairs_within(7) if live[u] >> v & 1}
+            tris = [
+                t for t in itertools.combinations(range(7), 3)
+                if set(itertools.combinations(t, 2)) <= pairs
+            ]
+            assert rank == {_bits(t): i for i, t in enumerate(tris)}
+            assert transpositions == [
+                (a, b) for a, b in fixing if _transposed(pairs, a, b) == pairs
+            ]
+            index = {t: i for i, t in enumerate(tris)}
+            assert result == [_moved_pairs(tris, index, a, b) for a, b in transpositions]
 
     @pytest.mark.parametrize(
         "pattern",
@@ -122,8 +216,9 @@ class TestDecision:
         # so no child is ever started; it records how many were asked for.
         asked = []
 
-        def in_process(n, pattern, k, masks, workers):
+        def in_process(n, pattern, k, start, workers):
             asked.append(workers)
+            masks = search._TOP_MASKS[min(n, 5)][start:]
             return (search._run_branch(n, pattern, k, mask) for mask in masks)
 
         monkeypatch.setattr(search, "_forked_branches", in_process)
@@ -255,6 +350,33 @@ class TestDecision:
         host, nodes = decide_exists(6, pattern, 2)
         assert host == first
         assert nodes == dec.nodes
+
+
+def decision_digest(ns) -> str:
+    """One sha256 over every decide_exists result at each n of ``ns``: for
+    each pattern and each k in 1..n-2, its node count and host file bytes."""
+    digest = hashlib.sha256()
+    for n in ns:
+        for name in ("c5", "c5minus", "k4minus", "k4", "f32"):
+            for k in range(1, n - 1):
+                host, nodes = decide_exists(n, pattern_by_name(name), k)
+                record = (n, name, k, nodes, serialize_hypergraph(host) if host is not None else None)
+                digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+#: decision_digest at n = 5..7 and at n = 8, recorded before the edge phase
+#: read its pair counts off its lex string.  CI checks the n = 8 one.
+DECISION_DIGESTS = {
+    (5, 6, 7): "360c230b26212762a5e54c6dc1d390026610ae37096635cb2cbc49063ad1ef2f",
+    (8,): "b43eb84c13bbec8a60784c53cffc4197b82c450d70c7c388525a3433e836eea3",
+}
+
+
+def test_decisions_match_the_recorded_digest():
+    # pins every host, not only the node counts: a change in the order the
+    # search takes its branches, skeletons or triangles shows here
+    assert decision_digest((5, 6, 7)) == DECISION_DIGESTS[5, 6, 7]
 
 
 def _first_hosts(n, pattern, k):
@@ -428,6 +550,24 @@ class TestForkedBranches:
         with _deadline(60), pytest.raises(RuntimeError, match="before top branch 5"):
             decide_exists(6, pattern_by_name("c5"), 3, 2)
         _assert_no_child_left()
+
+    def test_a_worker_that_exits_in_a_mixed_call(self, monkeypatch):
+        # the error names the branch by its index among all top branches,
+        # not among the ones left when the call forked
+        monkeypatch.setattr(search, "_FORK_AFTER_NODES", MIXED)
+        starts = _record_forks(monkeypatch)
+        parent = os.getpid()
+
+        def exit_in_a_child(index):
+            if os.getpid() == parent:  # an os._exit here would end the test run
+                raise AssertionError(f"branch {index} ran before the fork")
+            os._exit(0)
+
+        _fail_branches(monkeypatch, {20}, exit_in_a_child)
+        with _deadline(60), pytest.raises(RuntimeError, match="before top branch 20 was"):
+            decide_exists(6, pattern_by_name("c5"), 3, 2)
+        _assert_no_child_left()
+        assert starts == [15]
 
 
 class TestForkThreshold:
