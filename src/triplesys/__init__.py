@@ -9,7 +9,6 @@ values at small vertex counts by exhaustive search.
 from .core import (
     TripleSystem,
     build_codegree_table,
-    complete_triple_system,
     construct_complete_k_partite,
     known_extremal_value,
     mask_vertices,
@@ -36,7 +35,6 @@ from .patterns import (
     embeds_through_edge,
     find_embedding,
     is_free,
-    naive_find_embedding,
     pattern_by_name,
     validate_embedding,
 )
@@ -47,10 +45,8 @@ from .search import (
     local_search_lower_bound,
 )
 from .witness import (
-    FactReport,
     StructureCertificate,
     analyze_half_degree,
-    check_fact,
     find_c5_witness,
     find_c5minus_witness,
 )
@@ -61,7 +57,6 @@ __all__ = [
     "CATALOG",
     "Embedding",
     "F32",
-    "FactReport",
     "InternalContradiction",
     "K4",
     "K4MINUS",
@@ -74,8 +69,6 @@ __all__ = [
     "TripleSystem",
     "analyze_half_degree",
     "build_codegree_table",
-    "check_fact",
-    "complete_triple_system",
     "construct_complete_k_partite",
     "decide_exists",
     "embeds_through_edge",
@@ -89,7 +82,6 @@ __all__ = [
     "mask_vertices",
     "min_codegree",
     "min_positive_codegree",
-    "naive_find_embedding",
     "parse_hypergraph",
     "pattern_by_name",
     "read_hypergraph",

@@ -9,7 +9,6 @@ throughout the witness extractors O(1).
 from __future__ import annotations
 
 import functools
-import itertools
 import struct
 
 from .errors import PreconditionViolated
@@ -274,13 +273,6 @@ class TripleSystem:
         """
         return self._nbr
 
-    def relabel(self, perm) -> "TripleSystem":
-        """Apply a vertex permutation (perm[old] = new)."""
-        perm = tuple(perm)
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("not a permutation of the vertex set")
-        return TripleSystem(self.n, ((perm[u], perm[v], perm[w]) for u, v, w in self.edges))
-
 
 class HostState:
     """A mutable copy of a host's pair masks, with a co-degree histogram.
@@ -322,11 +314,6 @@ class HostState:
             if hist[c]:
                 return (c, -hist[c])
         return (0, 0)
-
-
-def complete_triple_system(n: int) -> TripleSystem:
-    """All C(n, 3) triples on n vertices."""
-    return TripleSystem(n, itertools.combinations(range(n), 3))
 
 
 def build_codegree_table(host: TripleSystem) -> list[int]:

@@ -385,14 +385,3 @@ def embeds_through_edge(nbr, pattern: Pattern, edge) -> bool:
 def is_free(host: TripleSystem, pattern: Pattern) -> bool:
     """True iff the host contains no copy of the pattern."""
     return search_maps(host.pair_masks, pattern.compiled.exists, host.twins) is None
-
-
-def naive_find_embedding(host: TripleSystem, pattern: Pattern) -> Embedding | None:
-    """Independent oracle: trial of every injective map in lexicographic order.
-
-    Only sensible for small hosts; used to cross-check find_embedding.
-    """
-    for m in itertools.permutations(range(host.n), pattern.vertex_count):
-        if all(host.has_edge(m[x], m[y], m[z]) for x, y, z in pattern.edges):
-            return Embedding(pattern, host, m)
-    return None

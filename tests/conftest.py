@@ -1,13 +1,53 @@
-"""Shared generators and independent oracles."""
+"""Shared generators and independent oracles.
+
+Generators: the complete host, random hosts, Steiner joins and blow-ups, and
+``relabel``.  Oracles, each written apart from the fast path it checks:
+``naive_find_embedding`` for the pattern searches, ``check_fact`` for the
+ten structural facts behind ``analyze_half_degree``, the per-pair edge scan
+for the co-degree, the interpreted search plans, and the constructor,
+parser and writer as they were before they read the pair masks.
+"""
 
 from __future__ import annotations
 
 import itertools
 import random
 import re
+from dataclasses import dataclass
 
-from triplesys import ParseError, TripleSystem, complete_triple_system
+from triplesys import (
+    C5,
+    Embedding,
+    ParseError,
+    Pattern,
+    PreconditionViolated,
+    TripleSystem,
+    mask_vertices,
+    min_positive_codegree,
+)
 from triplesys.core import MAX_VERTICES, HostState, flip
+from triplesys.witness import (
+    FACT_NAMES,
+    IDX_PAIRS,
+    PAIRINGS,
+    _ab_cells,
+    _first_quad_c5,
+    _k4_matrix,
+    _validated,
+)
+
+
+def complete_triple_system(n: int) -> TripleSystem:
+    """All C(n, 3) triples on n vertices."""
+    return TripleSystem(n, itertools.combinations(range(n), 3))
+
+
+def relabel(host: TripleSystem, perm) -> TripleSystem:
+    """Apply a vertex permutation (perm[old] = new)."""
+    perm = tuple(perm)
+    if sorted(perm) != list(range(host.n)):
+        raise ValueError("not a permutation of the vertex set")
+    return TripleSystem(host.n, ((perm[u], perm[v], perm[w]) for u, v, w in host.edges))
 
 
 def random_host(n: int, rng: random.Random, density: float = 0.5) -> TripleSystem:
@@ -78,6 +118,17 @@ def no_twins(n: int) -> tuple[int, tuple[int, ...]]:
     """The twin pair of a table read as having no twins, every vertex in a
     class of its own: the pair to search a table that is no host's with."""
     return (1 << n) - 1, (0,) * n
+
+
+def naive_find_embedding(host: TripleSystem, pattern: Pattern) -> Embedding | None:
+    """Independent oracle: trial of every injective map in lexicographic order.
+
+    Only sensible for small hosts; used to cross-check find_embedding.
+    """
+    for m in itertools.permutations(range(host.n), pattern.vertex_count):
+        if all(host.has_edge(m[x], m[y], m[z]) for x, y, z in pattern.edges):
+            return Embedding(pattern, host, m)
+    return None
 
 
 def scan_min_positive_codegree(host: TripleSystem) -> int | None:
@@ -223,3 +274,200 @@ def reference_parse_hypergraph(text: str) -> TripleSystem:
     if n is None:
         raise ParseError(1, "missing header 'n <count>'")
     return reference_triple_system(n, edges)
+
+
+@dataclass(frozen=True)
+class FactReport:
+    """Outcome of checking one structural fact literally, as quantified."""
+
+    fact_id: int
+    name: str
+    hypothesis_met: bool
+    holds: bool
+    counterexample: tuple | None = None
+    c5_found: Embedding | None = None
+    detail: str = ""
+
+
+def check_fact(host: TripleSystem, base, fact_id: int) -> FactReport:
+    """Check one structural fact literally, as quantified, over a K4 base.
+
+    The report records whether the fact-specific hypotheses hold (they are
+    never assumed), whether the statement itself holds, a concrete
+    counterexample tuple when it fails, and a validated C5 embedding when
+    the failure mode directly exhibits one.  Raises PreconditionViolated
+    unless ``base`` is four distinct host vertices spanning a K4 and
+    ``fact_id`` is an int in 1..10.
+    """
+    base = tuple(base)
+    nm = _k4_matrix(host, base)
+    if nm is None:
+        raise PreconditionViolated(f"base {base} is not 4 distinct host vertices spanning a K4")
+    if type(fact_id) is not int or fact_id not in FACT_NAMES:
+        raise PreconditionViolated(f"fact_id must be in 1..10, got {fact_id}")
+    n = host.n
+    delta = min_positive_codegree(host)
+    ambient = n % 2 == 0 and delta == n // 2
+    full = (1 << n) - 1
+    amask, bmask = _ab_cells(nm)
+    name = FACT_NAMES[fact_id]
+    nbr = host.pair_masks
+
+    def quad_c5() -> Embedding | None:
+        m5 = _first_quad_c5(n, base, nm)
+        return None if m5 is None else _validated(host, C5, m5)
+
+    if fact_id == 1:
+        holds, cex = True, None
+        for i, j in IDX_PAIRS:
+            if nm[i][j].bit_count() * 2 != n:
+                holds, cex = False, (base[i], base[j], nm[i][j].bit_count())
+                break
+        if holds:
+            for v in range(n):
+                c = sum(nm[i][j] >> v & 1 for i, j in IDX_PAIRS)
+                if c != 3:
+                    holds, cex = False, (v, c)
+                    break
+        return FactReport(fact_id, name, ambient, holds, cex, None if holds else quad_c5())
+
+    if fact_id == 2:
+        holds, cex = True, None
+        for (a, b), (c, d) in PAIRINGS:
+            if nm[a][b] ^ nm[c][d] != full:
+                bad = (nm[a][b] ^ nm[c][d] ^ full) & full
+                v = (bad & -bad).bit_length() - 1
+                holds, cex = False, ((base[a], base[b]), (base[c], base[d]), v)
+                break
+        return FactReport(fact_id, name, ambient, holds, cex, None if holds else quad_c5())
+
+    if fact_id == 3:
+        for i in range(4):
+            for j in range(i + 1, 4):
+                for a in mask_vertices(amask[i]):
+                    for b in mask_vertices(amask[j]):
+                        if nbr[a][b] != nm[i][j]:
+                            return FactReport(fact_id, name, ambient, False, (a, b))
+        return FactReport(fact_id, name, ambient, True)
+
+    if fact_id == 4:
+        diffs = tuple(amask[i].bit_count() - bmask[i].bit_count() for i in range(4))
+        holds = len(set(diffs)) == 1
+        return FactReport(fact_id, name, ambient, holds, None if holds else diffs)
+
+    if fact_id == 5:
+        for i in range(4):
+            for a in mask_vertices(bmask[i]):
+                for jj in range(4):
+                    if jj == i:
+                        continue
+                    nav = nbr[a][base[jj]]
+                    for kk in range(4):
+                        if kk in (i, jj):
+                            continue
+                        hit = nav & (amask[kk] | bmask[kk])
+                        if hit:
+                            w = (hit & -hit).bit_length() - 1
+                            c5 = None
+                            hit_b = nav & bmask[kk]
+                            if hit_b:
+                                # a is in B_i and b in B_kk and N(a, v_jj): the map closes
+                                b = (hit_b & -hit_b).bit_length() - 1
+                                c5 = _validated(host, C5, (a, base[i], base[kk], b, base[jj]))
+                            return FactReport(
+                                fact_id, name, ambient, False, (a, base[jj], w), c5
+                            )
+        for i in range(4):
+            if not bmask[i]:
+                continue
+            for jj in range(4):
+                if jj == i:
+                    continue
+                total = (
+                    amask[i].bit_count()
+                    + amask[jj].bit_count()
+                    + bmask[i].bit_count()
+                    + bmask[jj].bit_count()
+                )
+                if 2 * total < 2 + n:
+                    return FactReport(fact_id, name, ambient, False, (base[i], base[jj], total))
+        return FactReport(fact_id, name, ambient, True)
+
+    # Facts 6-10 assume the n/2 regime and exactly one nonempty B-cell.
+    nonempty = [i for i in range(4) if bmask[i]]
+    if not (ambient and len(nonempty) == 1):
+        return FactReport(
+            fact_id, name, False, True,
+            detail="needs exactly one nonempty B-cell under the n/2 regime",
+        )
+    i = nonempty[0]
+
+    if fact_id == 6:
+        r = bmask[i].bit_count()
+        sizes = {amask[j].bit_count() for j in range(4) if j != i}
+        if len(sizes) != 1:
+            return FactReport(fact_id, name, True, False, tuple(sorted(sizes)))
+        q = sizes.pop()
+        if n != 4 * q + 2 * r:
+            return FactReport(fact_id, name, True, False, (q, r, n))
+        if not (4 * amask[i].bit_count() > n > 4 * q):
+            return FactReport(fact_id, name, True, False, (amask[i].bit_count(), q))
+        for j in range(4):
+            if j == i:
+                continue
+            members = mask_vertices(amask[j])
+            for x in range(len(members)):
+                for y in range(x + 1, len(members)):
+                    if nbr[members[x]][members[y]]:
+                        return FactReport(
+                            fact_id, name, True, False, (members[x], members[y])
+                        )
+        return FactReport(fact_id, name, True, True)
+
+    if fact_id == 7:
+        for j in range(4):
+            if j == i:
+                continue
+            for a in range(n):
+                empty = nbr[a][base[j]] == 0
+                member = bool(amask[j] >> a & 1)
+                if empty != member:
+                    return FactReport(fact_id, name, True, False, (a, base[j]))
+        return FactReport(fact_id, name, True, True)
+
+    if fact_id == 8:
+        for a in mask_vertices(bmask[i]):
+            for j in range(4):
+                if j == i:
+                    continue
+                cand = bmask[i] & ~(1 << a) & nbr[a][base[i]] & nbr[a][base[j]]
+                if not cand:
+                    return FactReport(fact_id, name, True, False, (a, base[j]))
+        return FactReport(fact_id, name, True, True)
+
+    if fact_id == 9:
+        members = mask_vertices(bmask[i])
+        for j in range(4):
+            if j == i:
+                continue
+            for x in range(len(members)):
+                for y in range(x + 1, len(members)):
+                    a, b = members[x], members[y]
+                    s_nm = _k4_matrix(host, (base[i], base[j], a, b))
+                    if s_nm is not None and not _ab_cells(s_nm)[1][0]:
+                        return FactReport(fact_id, name, True, False, (base[j], a, b))
+        return FactReport(fact_id, name, True, True)
+
+    # fact_id == 10
+    members = mask_vertices(bmask[i])
+    empty = {
+        (a, b): nbr[a][b] == 0 for a in members for b in members if a != b
+    }
+    for a in members:
+        for b in members:
+            for c in members:
+                if len({a, b, c}) != 3:
+                    continue
+                if empty[(a, b)] and empty[(b, c)] and not empty[(a, c)]:
+                    return FactReport(fact_id, name, True, False, (a, b, c))
+    return FactReport(fact_id, name, True, True)

@@ -14,8 +14,6 @@ from triplesys import (
     CATALOG,
     StructureCertificate,
     TripleSystem,
-    check_fact,
-    complete_triple_system,
     construct_complete_k_partite,
     exact_copos_ex,
     find_c5_witness,
@@ -25,14 +23,20 @@ from triplesys import (
     known_extremal_value,
     local_search_lower_bound,
     min_positive_codegree,
-    naive_find_embedding,
     pattern_by_name,
     validate_embedding,
     analyze_half_degree,
 )
 from triplesys.cli import main
 
-from conftest import random_host, random_host_above, scan_min_positive_codegree
+from conftest import (
+    check_fact,
+    complete_triple_system,
+    naive_find_embedding,
+    random_host,
+    random_host_above,
+    scan_min_positive_codegree,
+)
 
 
 def _report(criterion: int, ok: bool, detail: str):

@@ -12,7 +12,7 @@ from triplesys import cli
 from triplesys.cli import main
 from triplesys.fileio import read_hypergraph, result_from_json
 
-from conftest import FANO_LINES, steiner_join
+from conftest import FANO_LINES, complete_triple_system, steiner_join
 
 
 def run(capsys, *argv):
@@ -139,8 +139,6 @@ class TestFree:
 
 @pytest.fixture
 def complete6(tmp_path):
-    from triplesys import complete_triple_system
-
     path = tmp_path / "k6.txt"
     write_hypergraph(str(path), complete_triple_system(6))
     return str(path)
@@ -329,8 +327,6 @@ class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         host_path = tmp_path / "k6.txt"
-        from triplesys import complete_triple_system
-
         write_hypergraph(str(host_path), complete_triple_system(6))
         commands = [
             ("construct", "--n", "10", "--k", "4", "-o", "c.txt"),

@@ -13,7 +13,6 @@ from triplesys import (
     TripleSystem,
     analyze_half_degree,
     build_codegree_table,
-    complete_triple_system,
     construct_complete_k_partite,
     find_c5_witness,
     known_extremal_value,
@@ -30,9 +29,11 @@ from conftest import (
     AG23_LINES,
     FANO_LINES,
     blow_up,
+    complete_triple_system,
     no_twins,
     random_host,
     reference_triple_system,
+    relabel,
     scan_min_positive_codegree,
     steiner_join,
 )
@@ -194,7 +195,7 @@ class TestTripleSystem:
             parse_hypergraph(serialize_hypergraph(host)),
             parse_hypergraph(padded),
             state.snapshot(),
-            host.relabel((6, 5, 4, 3, 2, 1, 0)),
+            relabel(host, (6, 5, 4, 3, 2, 1, 0)),
             pickle.loads(pickle.dumps(host)),
             construct_complete_k_partite(7, 7)[0],  # seven singleton parts
         )
@@ -204,10 +205,10 @@ class TestTripleSystem:
 
     def test_relabel(self):
         h = TripleSystem(4, [(0, 1, 2)])
-        g = h.relabel((3, 2, 1, 0))
+        g = relabel(h, (3, 2, 1, 0))
         assert g.edges == ((1, 2, 3),)
         with pytest.raises(ValueError):
-            h.relabel((0, 0, 1, 2))
+            relabel(h, (0, 0, 1, 2))
 
 
 def twin_classes(host: TripleSystem) -> list[list[int]]:
@@ -225,7 +226,7 @@ def twin_classes(host: TripleSystem) -> list[list[int]]:
 
 def check_twin_classes(host: TripleSystem) -> list[list[int]]:
     """Brute force: the listed classes are exactly the sets of vertices whose
-    swaps fix the host, ``host.relabel(swap) == host``.  A swap moves only
+    swaps fix the host, ``relabel(host, swap) == host``.  A swap moves only
     the edges through its two vertices, so those are the edges tried.  Swaps
     compose, so it is enough that consecutive members of a class swap and
     the least members of two classes do not."""
@@ -267,7 +268,7 @@ class TestTwins:
             perm = list(range(n))
             perm[x], perm[y] = y, x
             same = any(x in c and y in c for c in classes)
-            assert (host.relabel(perm) == host) == same
+            assert (relabel(host, perm) == host) == same
 
     @pytest.mark.parametrize(
         "sizes", [(1, 2, 3), (5, 1, 1, 4), (2, 2, 2, 2, 2), (7, 3, 1), (1, 1, 1), (9, 4, 4, 12)]

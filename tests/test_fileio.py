@@ -10,7 +10,6 @@ from triplesys import (
     StructureCertificate,
     TripleSystem,
     analyze_half_degree,
-    complete_triple_system,
     construct_complete_k_partite,
     find_c5_witness,
     find_embedding,
@@ -24,6 +23,7 @@ from triplesys.fileio import dump_json, result_from_json, result_to_json
 from conftest import (
     AG23_LINES,
     FANO_LINES,
+    complete_triple_system,
     random_host,
     reference_parse_hypergraph,
     reference_serialize_hypergraph,
@@ -227,11 +227,15 @@ _TAMPER_ONE_B = [
     ("pairing-repeats-a-class", lambda c: replace(c, pairing=((0, 1), (1, 0)))),
     ("pairing-out-of-range", lambda c: replace(c, pairing=((0, 2),))),
     ("pairing-misses-a-class", lambda c: replace(c, pairing=())),
-    # entries that are not two int class indices, and a member that is not an int
+    # entries that are not two int class indices, a member that is not an
+    # int, and classes that are not frozensets
     ("pairing-entry-of-three", lambda c: replace(c, pairing=((0, 1, 1),))),
     ("pairing-entry-of-one", lambda c: replace(c, pairing=((0,),))),
     ("pairing-float-index", lambda c: replace(c, pairing=((0, 1.0),))),
     ("class-float-member", lambda c: replace(c, classes=(frozenset({10.0}), frozenset({11})))),
+    ("classes-as-tuples", lambda c: replace(c, classes=((10,), (11,)))),
+    ("classes-as-lists", lambda c: replace(c, classes=([10], [11]))),
+    ("classes-as-sets", lambda c: replace(c, classes=({10}, {11}))),
 ]
 # For the r0 = 0 certificate, which has no nonempty B-cell.
 _TAMPER_NO_B = [

@@ -5,11 +5,56 @@ import sys
 import triplesys
 from triplesys import InternalContradiction
 
+#: The public names.  A name joins or leaves the package's API only on
+#: purpose, by an edit here; test oracles live in tests/conftest.py.
+PUBLIC_NAMES = (
+    "C5",
+    "C5MINUS",
+    "CATALOG",
+    "Embedding",
+    "F32",
+    "InternalContradiction",
+    "K4",
+    "K4MINUS",
+    "ParseError",
+    "Pattern",
+    "PreconditionViolated",
+    "SearchOutcome",
+    "StructureCertificate",
+    "TripleSysError",
+    "TripleSystem",
+    "analyze_half_degree",
+    "build_codegree_table",
+    "construct_complete_k_partite",
+    "decide_exists",
+    "embeds_through_edge",
+    "exact_copos_ex",
+    "find_c5_witness",
+    "find_c5minus_witness",
+    "find_embedding",
+    "is_free",
+    "known_extremal_value",
+    "local_search_lower_bound",
+    "mask_vertices",
+    "min_codegree",
+    "min_positive_codegree",
+    "parse_hypergraph",
+    "pattern_by_name",
+    "read_hypergraph",
+    "serialize_hypergraph",
+    "validate_embedding",
+    "write_hypergraph",
+)
+
 
 def test_every_exported_name_resolves():
     missing = [name for name in triplesys.__all__ if not hasattr(triplesys, name)]
     assert missing == []
     assert len(set(triplesys.__all__)) == len(triplesys.__all__)
+
+
+def test_the_public_names_are_pinned():
+    assert tuple(sorted(triplesys.__all__)) == PUBLIC_NAMES
 
 
 def test_star_import():

@@ -21,13 +21,12 @@ from triplesys import (
     known_extremal_value,
     local_search_lower_bound,
     min_positive_codegree,
-    naive_find_embedding,
     pattern_by_name,
     serialize_hypergraph,
 )
 from triplesys import cli, search
 
-from conftest import scan_min_positive_codegree
+from conftest import naive_find_embedding, relabel, scan_min_positive_codegree
 
 #: A fork threshold that splits calls between this process and workers:
 #: (6, c5, 3) runs branches 0..14 here and forks for 15..33, and (7, k4, 3)
@@ -319,7 +318,7 @@ class TestDecision:
                 if {tuple(sorted((perm[u], perm[v]))) for u, v in live} == live
             ]
             for host in reference:
-                assert any(host.relabel(g) in pruned for g in stabilizer), f"mask {mask}"
+                assert any(relabel(host, g) in pruned for g in stabilizer), f"mask {mask}"
 
     @pytest.mark.parametrize("name", ["c5", "f32", "k4minus"])
     def test_the_edge_phase_takes_its_skeleton_and_transpositions(self, name):
@@ -336,7 +335,7 @@ class TestDecision:
             assert naive_find_embedding(host, pattern) is None
             assert all(m.bit_count() >= 2 for u, row in enumerate(host.pair_masks)
                        for m in row[u + 1:])
-            assert any(host.relabel(g) in pruned for g in itertools.permutations(range(6)))
+            assert any(relabel(host, g) in pruned for g in itertools.permutations(range(6)))
         # the branch state lives in locals: only the node count changed
         assert vars(dec) == {"n": 6, "pattern": pattern, "k": 2, "nodes": dec.nodes}
 

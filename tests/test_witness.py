@@ -16,8 +16,6 @@ from triplesys import (
     StructureCertificate,
     TripleSystem,
     analyze_half_degree,
-    check_fact,
-    complete_triple_system,
     construct_complete_k_partite,
     find_c5_witness,
     find_embedding,
@@ -26,7 +24,6 @@ from triplesys import (
     known_extremal_value,
     mask_vertices,
     min_positive_codegree,
-    naive_find_embedding,
     validate_embedding,
 )
 from triplesys.fileio import result_to_json
@@ -36,8 +33,8 @@ from triplesys.witness import (
 )
 
 from conftest import (
-    AG23_LINES, FANO_LINES, random_host, random_host_above, scan_min_positive_codegree,
-    steiner_join,
+    AG23_LINES, FANO_LINES, check_fact, complete_triple_system, naive_find_embedding,
+    random_host, random_host_above, relabel, scan_min_positive_codegree, steiner_join,
 )
 
 
@@ -462,7 +459,7 @@ class TestABCells:
             host = TripleSystem(n, random_host(n, rng, rng.random()).edges + tuple(k4))
         perm = list(range(host.n))
         rng.shuffle(perm)
-        host = host.relabel(perm)
+        host = relabel(host, perm)
         base = tuple(perm[v] for v in base)
 
         def nbhd(i, j):
@@ -681,7 +678,7 @@ def _typed_host(q, groups, cross, linked, flipped, rng):
             edges.append(t)
     perm = list(range(n))
     rng.shuffle(perm)
-    return TripleSystem(n, edges).relabel(perm), tuple(perm[:4])
+    return relabel(TripleSystem(n, edges), perm), tuple(perm[:4])
 
 
 #: (q, groups, cross, linked) of the typed hosts.  The first and third give
@@ -709,7 +706,7 @@ def _golden_corpus():
         for k in range(3, 7):
             perm = list(range(n))
             rng.shuffle(perm)
-            yield construct_complete_k_partite(n, k)[0].relabel(perm), None
+            yield relabel(construct_complete_k_partite(n, k)[0], perm), None
     yield _deep_host_8(), None
     yield _without_pair(6, 4, 5), None
     for d in (1, 2):
@@ -718,7 +715,7 @@ def _golden_corpus():
                 host = _planted_cells_host(d, b_sizes, rng)
                 perm = list(range(host.n))
                 rng.shuffle(perm)
-                yield host.relabel(perm), None
+                yield relabel(host, perm), None
     for q, groups, cross, linked in _TYPED:
         labels = [("A", i) for i in range(4)] + [("B", g) for g in range(len(groups))]
         kinds = list(itertools.combinations_with_replacement(labels, 3))
