@@ -80,7 +80,7 @@ def cmd_stats(args) -> int:
     present = [c for c, count in enumerate(table) if count]  # co-degrees that occur
     positive = [c for c in present if c] or [None]  # None: edgeless
     print(f"n {host.n}")
-    print(f"edges {host.edge_count}")
+    print(f"edges {sum(c * count for c, count in enumerate(table)) // 3}")  # 3 pairs per edge
     print(f"min_positive_codegree {_codegree_text(positive[0])}")
     print(f"support_pairs {sum(table[1:])}")
     print(f"min_codegree {present[0] if present else 0}")

@@ -6,24 +6,30 @@ by single spaces.  ``#`` starts a comment line; blank lines are skipped;
 duplicate edges are rejected.  Serialization is byte-stable (LF endings,
 ASCII, lexicographic edge order), so parse(serialize(H)) == H.
 
-A file in serialize_hypergraph's exact spelling is loaded through an
-incidence cube: one byte per position (u, v, w), set by one store per edge
-line.  The checks run once, in bulk, after the last line: the count of set
-positions finds a repeated edge, and one mask finds a line that is not
-ascending or names a vertex out of range.  Three field swaps of the cube,
-read as one integer, put each edge in all six orders, and the cube then
-unpacks into the host's pair-mask table, both in ``core`` and shared with
-``TripleSystem``.  Any other file, and any file that fails a check, goes
-through the line loop, which checks each line as it reads it, gives every
-ParseError its line number, and builds the host as ``TripleSystem(n,
-edges)`` after the last line: only ``core`` writes pair-mask tables.
+A file in serialize_hypergraph's exact spelling, with LF line ends and its
+lines grouped by ascending first vertex as the writer writes them, loads
+one block of lines per first vertex into an incidence cube: one split of
+each block on its lead, then a table lookup and a byte store per line that
+run in C, so no Python step runs per line.  The checks run once, in bulk,
+after the last block: the count of set positions finds a repeated edge,
+and one mask finds a line that is not ascending or names a vertex out of
+range.  Three field swaps of the cube, read as one integer, put each edge
+in all six orders, and the cube then unpacks into the host's pair-mask
+table, both in ``core`` and shared with ``TripleSystem``.  Any other file,
+and any file that fails a check, goes through the line loop, which checks
+each line as it reads it, gives every ParseError its line number, and
+builds the host as ``TripleSystem(n, edges)`` after the last line: only
+``core`` writes pair-mask tables.
 Writing reads the pair masks too: neither builds the host's sorted edge tuple.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import json
+import operator
 import re
 
 from .core import MAX_VERTICES, TripleSystem, _all_orders, _ascending, _cube_table
@@ -35,13 +41,8 @@ _HEADER_LINE = re.compile(r"^n (\d+)$")
 _NAME = tuple(map(str, range(MAX_VERTICES)))
 #: Each header line as serialize_hypergraph spells it: its vertex count.
 _HEADER = {f"n {n}": n for n in range(MAX_VERTICES + 1)}
-#: For each field width k of the cube, the three dicts (pu, pv, w) from each
-#: index below 2**k, spelled as in _NAME, to its field of a cube position:
-#: u << 2k, v << k and w.  An index of 2**k or more is in none of them.
-_FIELDS = {
-    k: tuple({s: v << f * k for v, s in enumerate(_NAME[: 1 << k])} for f in (2, 1, 0))
-    for k in range(3, 7)
-}
+#: The lead of each first vertex's lines as serialize_hypergraph writes them.
+_LEAD = tuple(f"\n{s} " for s in _NAME)
 
 
 class ParseError(ValueError):
@@ -53,43 +54,84 @@ class ParseError(ValueError):
 
 
 def parse_hypergraph(text: str) -> TripleSystem:
-    lines = text.splitlines()
-    host = _parse_cube(lines)
-    return _parse_lines(lines) if host is None else host
+    """The host a host file's text describes.
+
+    A file in serialize_hypergraph's spelling loads one block of lines per
+    first vertex (_parse_blocks); every other file, and every file that
+    fails its checks, goes through the line loop, which raises ParseError
+    with the number of the first bad line.
+    """
+    host = _parse_blocks(text)
+    return _parse_lines(text.splitlines()) if host is None else host
 
 
-def _parse_cube(lines) -> TripleSystem | None:
+@functools.cache
+def _pair_bytes(k: int) -> dict[str, int]:
+    """For field width k: each "v w" with v < w < 2**k, spelled as in _NAME,
+    to the byte of (v, w) in one first vertex's part of the cube.  Built on
+    first use and kept (about 220 KB for k = 6): built for every k at
+    import, the tables would slow the package import."""
+    last = (1 << 2 * k) - 1
+    return {
+        f"{_NAME[v]} {_NAME[w]}": last - (v << k | w)
+        for v in range(1 << k)
+        for w in range(v + 1, 1 << k)
+    }
+
+
+def _parse_blocks(text: str) -> TripleSystem | None:
     """The host of a file in serialize_hypergraph's spelling, or None.
 
     The cube holds one ASCII byte per position p = u << 2k | v << k | w,
     with k = max(3, bits of n - 1), which stands for "the pair {u, v} holds
     w".  Bytes are indexed from the top, so ``int(cube, 2)`` has bit p set
-    for each edge line.  None means the line loop must read the file: a
-    line or header in another spelling, an index of 2**k or more, a
-    repeated edge, or a line that is not ascending or names a vertex >= n.
+    for each edge line.  The lines of each first vertex u, which the writer
+    writes as one run of "\\n{u} {v} {w}", are split on their lead
+    "\\n{u} " and stored in u's part of the cube, with no Python step per
+    line.  None means the line loop must read the file: a header, line or
+    line end in another spelling, lines not grouped by ascending first
+    vertex, an index of 2**k or more, a repeated edge, or a line that is
+    not ascending or names a vertex >= n.
     """
-    n = _HEADER.get(lines[0]) if lines else None
+    head = text.find("\n")
+    n = _HEADER.get(text[:head]) if head >= 0 and text.endswith("\n") else None
     if n is None:
         return None
     k = max(3, (n - 1).bit_length())
-    pu, pv, w = _FIELDS[k]
-    top = (1 << 3 * k) - 1
-    cube = bytearray(b"0") * (top + 1)
+    table, part = _pair_bytes(k), 1 << 2 * k
+    cube = bytearray(b"0") * (part << k)
+    pos, last, count = head, len(text) - 1, 0  # pos: the "\n" before u's lines
     try:
-        for line in itertools.islice(lines, 1, None):
-            a, b, c = line.split(" ")
-            cube[top - pu[a] - pv[b] - w[c]] = 49  # "1"
-    except (KeyError, ValueError):
+        with memoryview(cube) as view:
+            for u, lead in enumerate(_LEAD[:n]):
+                if not text.startswith(lead, pos):
+                    continue  # no line has first vertex u
+                # u's lines end at the next first vertex's lead, or the last "\n"
+                ends = (text.find(later, pos) for later in _LEAD[u + 1 : n])
+                end = next((e for e in ends if e >= 0), last)
+                pieces = text[pos + len(lead) : end].split(lead)
+                base = part * ((1 << k) - 1 - u)  # u's part: bytes base..base + part
+                # one byte store of "1" per piece, all in C; a piece that is
+                # not a "v w" of the table raises KeyError
+                offsets = map(table.__getitem__, pieces)
+                stores = map(operator.setitem, itertools.repeat(view[base : base + part]),
+                             offsets, itertools.repeat(49))
+                collections.deque(stores, 0)
+                count += len(pieces)
+                pos = end
+    except KeyError:
+        return None
+    if pos != last:  # text after the last first vertex's lines
         return None
     x = int(cube, 2)
     del cube  # the largest object here: free it before the swaps
-    if x.bit_count() != len(lines) - 1 or x & ~_ascending(n, k):
+    if x.bit_count() != count or x & ~_ascending(n, k):
         return None
     return TripleSystem._from_masks(_cube_table(_all_orders(x, k), n, k))
 
 
 def _parse_lines(lines) -> TripleSystem:
-    """The line loop: every file the cube declines, and every ParseError."""
+    """The line loop: every file the block pass declines, and every ParseError."""
     edges = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

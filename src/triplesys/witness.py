@@ -77,15 +77,18 @@ class StructureCertificate:
 
     def verify(self) -> bool:
         """Re-check every invariant from scratch; True iff all hold.  A base
-        other than four distinct int host vertices spanning a K4, other than
-        four A- and four B-cells, a q, r0, cell member or class member other
-        than an int, a class other than a frozenset, or a pairing entry other
-        than a tuple of two int class indices gives False, not an error: a
-        float or a bool equal to the right int is refused too.  Not checked,
+        other than four distinct int host vertices spanning a K4, A-cells,
+        B-cells, classes or a pairing of None, other than four A- and four
+        B-cells, a q, r0, cell member or class member other than an int, a
+        class other than a frozenset, or a pairing entry other than a tuple
+        of two int class indices gives False, not an error: a float or a
+        bool equal to the right int is refused too.  Not checked,
         as cells equal to a K4 base's imply them: each base vertex is in its
         own A-cell, and a nonempty B-cell has r0 > 0."""
         host, base = self.host, self.base
         n = host.n
+        if any(s is None for s in (self.a_sets, self.b_sets, self.classes, self.pairing)):
+            return False
         nm = _k4_matrix(host, base)
         if nm is None or len(self.a_sets) != 4 or len(self.b_sets) != 4:
             return False

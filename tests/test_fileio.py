@@ -68,11 +68,14 @@ _LINE_TEXTS = st.tuples(
     st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", "\x1c"])), max_size=8),
 ).map(lambda parts: parts[0] + "\n" + "".join(line + end for line, end in parts[1]))
 
-# Edits to a serialized host.  The first four keep the writer's spelling
-# (but for an index set to n = 64), so the cube path's checks decide; the
+# Edits to a serialized host.  The first six keep each line in the writer's
+# spelling (but for an index set to n = 64), so the block pass's checks
+# decide, or for a line moved ahead of a smaller first vertex's lines, its
+# grouping; two lines of one first vertex swapped stay in one block.  The
 # rest send the file to the line loop.
-_EDITS = ("none", "swap-fields", "repeat-line", "index-n", "double-space",
-          "comment", "blank-line", "leading-zero", "crlf")
+_EDITS = ("none", "swap-fields", "repeat-line", "index-n", "swap-lines", "move-ahead",
+          "double-space", "comment", "blank-line", "leading-zero", "crlf", "no-final-newline",
+          "drop-first-field")
 
 
 @st.composite
@@ -86,8 +89,20 @@ def _serialized_texts(draw):
     edit = draw(st.sampled_from(_EDITS))
     if edit == "crlf":
         return "\r\n".join(lines) + "\r\n"
+    if edit == "no-final-newline":
+        return "\n".join(lines)
     if edit in ("comment", "blank-line"):
         lines.insert(draw(st.integers(1, len(lines))), "# note" if edit == "comment" else "")
+    elif edit == "move-ahead" and len(lines) > 1:
+        # the last line goes first: ahead of every smaller first vertex's lines
+        lines.insert(1, lines.pop())
+    elif edit == "swap-lines":
+        # two lines of one first vertex, when some first vertex has two
+        firsts = [line.split(" ")[0] for line in lines]
+        same = [i for i in range(1, len(lines) - 1) if firsts[i] == firsts[i + 1]]
+        if same:
+            i = draw(st.sampled_from(same))
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
     elif edit != "none" and len(lines) > 1:
         i = draw(st.integers(1, len(lines) - 1))
         fields = lines[i].split(" ")
@@ -101,6 +116,8 @@ def _serialized_texts(draw):
             fields[at] = str(n)
         elif edit == "double-space":
             fields.insert(1 + at % 2, "")
+        elif edit == "drop-first-field":
+            del fields[0]
         else:
             fields[at] = "0" + fields[at]
         lines[i] = " ".join(fields)
@@ -108,8 +125,8 @@ def _serialized_texts(draw):
 
 
 _HOST_TEXTS = st.one_of(_LINE_TEXTS, _serialized_texts())
-# A 64-vertex file whose last line repeats its first edge: the cube path
-# reads every line before its count of edges declines the file.
+# A 64-vertex file whose last line repeats its first edge: the block pass
+# reads every block before its count of edges declines the file.
 _REPEATED_LAST = serialize_hypergraph(construct_complete_k_partite(64, 4)[0]) + "0 16 32\n"
 
 
@@ -206,6 +223,10 @@ _TAMPER_ANY = [
     ),
     ("a-cells-exchange-members", lambda c: replace(c, a_sets=_exchange(c.a_sets, 1, 2))),
     ("q-off-by-one", lambda c: replace(c, q=c.q + 1)),
+    ("a-cells-none", lambda c: replace(c, a_sets=None)),
+    ("b-cells-none", lambda c: replace(c, b_sets=None)),
+    ("classes-none", lambda c: replace(c, classes=None)),
+    ("pairing-none", lambda c: replace(c, pairing=None)),
 ]
 # For the r0 = 2 certificate, whose apex B-cell {10, 11} is split into two
 # paired singleton classes.
@@ -324,7 +345,7 @@ class TestHostFormat:
         assert str(err.value) == message
 
     def test_serialized_hosts_never_reach_the_line_loop(self, monkeypatch):
-        # every other test passes with a cube path that declines every file
+        # every other test passes with a block pass that declines every file
         def line_loop(lines):
             raise AssertionError("the line loop read a serialized host")
 
@@ -337,8 +358,9 @@ class TestHostFormat:
             steiner_join(AG23_LINES, 64),
         ]
         # each field width of the cube, 3 to 6 bits, at its least and
-        # greatest n; n = 0 and 1 have no edges
+        # greatest n; n = 0 and 1 have no edges, and neither has the last
         hosts += [random_host(n, rng, 0.3) for n in (0, 1, 8, 9, 16, 17, 32, 33)]
+        hosts.append(TripleSystem(8))
         for host in hosts:
             assert parse_hypergraph(serialize_hypergraph(host)) == host
 
@@ -356,13 +378,18 @@ class TestHostFormat:
     @example("n 4\r\n 0 1 2\t\r1 2 3\x0c0 2 3\x1c")
     @example("n 4\n0 1 \u0663\n")
     @example("n 4\n0 1 \u00b2\n")
-    # one per check the cube path makes after its loop: a repeated edge, a
-    # line that is not ascending, a vertex >= n that fits the cube (n = 6
+    # one per check the block pass makes after its blocks: a repeated edge,
+    # a line that is not ascending, a vertex >= n that fits the cube (n = 6
     # gives 3-bit fields), and a repeated edge on the last of 16,386 lines
     @example("n 6\n0 1 2\n1 2 3\n0 1 2\n")
     @example("n 6\n0 1 2\n3 2 1\n")
     @example("n 6\n0 1 2\n0 1 7\n")
     @example(_REPEATED_LAST)
+    # a line of two fields at the end of a block, one after its lead
+    @example("n 8\n0 1 2\n1 2\n")
+    @example("n 8\n0 1 2\n0 3\n")
+    # no final newline after a last line that would be an edge without its last digit
+    @example("n 24\n0 1 23")
     def test_parser_matches_the_reference(self, text):
         assert _parse_outcome(parse_hypergraph, text) == _parse_outcome(
             reference_parse_hypergraph, text
