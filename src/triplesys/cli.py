@@ -16,7 +16,6 @@ import time
 from .core import (
     TripleSystem,
     _codegree_text,
-    build_codegree_table,
     construct_complete_k_partite,
     min_positive_codegree,
 )
@@ -76,11 +75,11 @@ def cmd_construct(args) -> int:
 
 def cmd_stats(args) -> int:
     host = _load(args.input)
-    table = build_codegree_table(host)
+    table = host.codegree_table
     present = [c for c, count in enumerate(table) if count]  # co-degrees that occur
     positive = [c for c in present if c] or [None]  # None: edgeless
     print(f"n {host.n}")
-    print(f"edges {sum(c * count for c, count in enumerate(table)) // 3}")  # 3 pairs per edge
+    print(f"edges {host.edge_count}")  # off the same table
     print(f"min_positive_codegree {_codegree_text(positive[0])}")
     print(f"support_pairs {sum(table[1:])}")
     print(f"min_codegree {present[0] if present else 0}")

@@ -168,12 +168,12 @@ class TripleSystem:
     The host is its table of per-pair neighborhood bitmasks (fast co-degree
     and intersection queries), built from an edge list in any vertex order
     through an incidence cube, as in ``fileio``.  The lexicographically
-    sorted edge tuple (deterministic iteration) and the twin classes are
-    read off the table the first time ``edges`` or ``twins`` is asked for,
-    and kept.
+    sorted edge tuple (deterministic iteration), the twin classes and the
+    co-degree histogram are read off the table the first time ``edges``,
+    ``twins`` or ``codegree_table`` is asked for, and kept.
     """
 
-    __slots__ = ("n", "_nbr", "_edges", "_twins")
+    __slots__ = ("n", "_nbr", "_edges", "_twins", "_codegrees")
 
     def __init__(self, n: int, edges=()):
         if not 0 <= n <= MAX_VERTICES:
@@ -213,6 +213,7 @@ class TripleSystem:
         object.__setattr__(self, "_nbr", nbr)
         object.__setattr__(self, "_edges", None)
         object.__setattr__(self, "_twins", None)
+        object.__setattr__(self, "_codegrees", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TripleSystem is immutable")
@@ -257,9 +258,19 @@ class TripleSystem:
         return twins
 
     @property
+    def codegree_table(self) -> tuple[int, ...]:
+        """``build_codegree_table`` of the host, scanned once and kept, so
+        every co-degree fact of one host shares one scan."""
+        table = self._codegrees
+        if table is None:
+            table = tuple(build_codegree_table(self))
+            object.__setattr__(self, "_codegrees", table)
+        return table
+
+    @property
     def edge_count(self) -> int:
-        # each edge sets one bit in the mask of each of its three pairs
-        return sum(m.bit_count() for u, row in enumerate(self._nbr) for m in row[u + 1:]) // 3
+        # each edge adds 1 to the co-degree of each of its three pairs
+        return sum(c * count for c, count in enumerate(self.codegree_table)) // 3
 
     def has_edge(self, u: int, v: int, w: int) -> bool:
         return bool(self._nbr[u][v] >> w & 1)
@@ -279,29 +290,67 @@ class HostState:
 
     ``pair_masks`` has the layout of ``TripleSystem.pair_masks``, so the
     pattern searches run on it directly; ``hist[c]`` is the number of
-    pairs with co-degree c.  ``toggle`` flips one triple, says whether it
-    added it and moves three histogram entries, so the local search can try
-    a move, score it off the histogram and take it back without a rebuild.
+    pairs with co-degree c, and ``low`` the least positive c with pairs, or
+    0 if the host is edgeless.  ``score_after`` reads the score a toggle
+    would give off the three pair co-degrees, ``hist`` and ``low``, and
+    changes nothing, so the local search flips only a move that its score
+    lets through.  ``toggle`` flips one triple, says whether it added it,
+    and moves three histogram entries and ``low``.  The two work ``low``
+    out apart, so each checks the other.
     """
 
-    __slots__ = ("pair_masks", "hist")
+    __slots__ = ("pair_masks", "hist", "low")
 
     def __init__(self, host: TripleSystem):
         self.pair_masks = [row[:] for row in host.pair_masks]
-        self.hist = build_codegree_table(host)
+        self.hist = list(host.codegree_table)
+        self.low = min_positive_codegree(host) or 0
 
     def toggle(self, edge) -> bool:
         """Add the triple if absent, remove it if present; True if added."""
         u, v, w = edge
-        nbr, hist = self.pair_masks, self.hist
+        nbr, hist, low = self.pair_masks, self.hist, self.low
         added = not nbr[u][v] >> w & 1
         d = 1 if added else -1  # all three co-degrees move by d
         for a, b in ((u, v), (u, w), (v, w)):
-            c = nbr[a][b].bit_count()
-            hist[c] -= 1
-            hist[c + d] += 1
+            c = nbr[a][b].bit_count() + d
+            hist[c - d] -= 1
+            hist[c] += 1
+            if c and (c < low or not low):
+                low = c
+        if low and not hist[low]:  # every pair at the minimum left it
+            low = next((c for c in range(low + 1, len(hist)) if hist[c]), 0)
+        self.low = low
         flip(nbr, edge)
         return added
+
+    def score_after(self, edge) -> tuple[int, int]:
+        """The score ``toggle(edge)`` would give, read without a change.
+
+        The three pairs of the triple move from co-degree c - d to c, d = 1
+        for an addition and -1 for a removal.  A new positive co-degree
+        below ``low`` is the new minimum, and otherwise the pairs at ``low``
+        are those there less the ones leaving plus the ones arriving; both
+        are read off the three moves.  Only when every pair at the minimum
+        leaves it is the histogram read, from ``low`` up.
+        """
+        u, v, w = edge
+        nbr, hist, low = self.pair_masks, self.hist, self.low
+        row = nbr[u]
+        mask = row[v]
+        d = -1 if mask >> w & 1 else 1
+        a = mask.bit_count() + d
+        b = row[w].bit_count() + d
+        c = nbr[v][w].bit_count() + d
+        m = min(a, b, c)  # 0 only when a removal empties a pair at co-degree 1 = low
+        if 0 < m < low or not low:
+            return m, -((a == m) + (b == m) + (c == m))
+        for x in range(low, len(hist)):
+            at = hist[x] - (a - d == x) - (b - d == x) - (c - d == x)  # leaving x
+            at += (a == x) + (b == x) + (c == x)  # arriving at x
+            if at:
+                return x, -at
+        return 0, 0
 
     def snapshot(self) -> TripleSystem:
         """A snapshot of the masks as an immutable host."""
@@ -309,11 +358,8 @@ class HostState:
 
     def score(self) -> tuple[int, int]:
         """(min positive co-degree, -number of pairs attaining it); (0, 0) if edgeless."""
-        hist = self.hist
-        for c in range(1, len(hist)):
-            if hist[c]:
-                return (c, -hist[c])
-        return (0, 0)
+        low = self.low
+        return (low, -self.hist[low]) if low else (0, 0)
 
 
 def build_codegree_table(host: TripleSystem) -> list[int]:
@@ -321,7 +367,8 @@ def build_codegree_table(host: TripleSystem) -> list[int]:
 
     One entry per possible co-degree 0..n-2, and at least one entry, so
     ``table[0]`` exists on every host.  Every other co-degree fact in this
-    module is read off this one scan of the pair table.
+    module is read off this one scan of the pair table, which
+    ``TripleSystem.codegree_table`` keeps.
     """
     n = host.n
     table = [0] * max(n - 1, 1)
@@ -333,7 +380,7 @@ def build_codegree_table(host: TripleSystem) -> list[int]:
 
 def min_positive_codegree(host: TripleSystem) -> int | None:
     """Minimum co-degree over pairs with nonzero co-degree; None if edgeless."""
-    table = build_codegree_table(host)
+    table = host.codegree_table
     return next((c for c in range(1, len(table)) if table[c]), None)
 
 
@@ -344,7 +391,7 @@ def _codegree_text(delta: int | None) -> str:
 
 def min_codegree(host: TripleSystem) -> int:
     """Minimum co-degree over all pairs (the non-positive variant); 0 if n < 2."""
-    table = build_codegree_table(host)
+    table = host.codegree_table
     return next((c for c, count in enumerate(table) if count), 0)
 
 

@@ -50,8 +50,11 @@ run patterns.embeds_through_edge on the pair masks, so no move rebuilds a
 host.  That check runs a function generated when the pattern is compiled,
 which the parent does before it forks, so the children inherit it.  The
 edge phase flips a plain table of chosen triangles, and undoes a move by
-flipping the triangles its lex string gained; the local search keeps its
-host in one core.HostState, whose co-degree histogram gives the score.
+flipping the triangles its lex string gained.  The local search keeps its
+host in one core.HostState and scores each proposal first, off the
+co-degree histogram and without a flip, as delta evaluation does: only a
+move the score lets through is toggled and, if it adds its triple,
+pattern-checked.
 """
 
 from __future__ import annotations
@@ -187,9 +190,11 @@ class _Decision:
         ]
         rest_swaps = _swaps(n, 2, rank, [(a, b) for a, b in top_fixing if b == a + 1])
 
-        def skeletons(idx, ones):
+        def skeletons(idx, ones, recurse):
             """Yield ``live``, changed in place, at each complete skeleton with
-            a live pair; ``ones`` marks the live ones of rest[:idx]."""
+            a live pair; ``ones`` marks the live ones of rest[:idx].  It calls
+            itself as ``recurse``, not through its own cell, so no reference
+            cycle keeps the branch's state once the generators are dropped."""
             self.nodes += 1
             if idx == len(rest):
                 if any(live):
@@ -202,7 +207,7 @@ class _Decision:
                 live[u] |= 1 << v
                 live[v] |= 1 << u
                 if self._lex_ok(rest_swaps, ones | 1 << idx, decided):
-                    yield from skeletons(idx + 1, ones | 1 << idx)
+                    yield from recurse(idx + 1, ones | 1 << idx, recurse)
                 live[u] &= ~(1 << v)
                 live[v] &= ~(1 << u)
             # Killing {u, v} shrinks only the candidates of live pairs at u or v.
@@ -213,11 +218,11 @@ class _Decision:
                 and self._live_ok(live, ndadj, v)
                 and self._lex_ok(rest_swaps, ones, decided)
             ):
-                yield from skeletons(idx + 1, ones)
+                yield from recurse(idx + 1, ones, recurse)
             ndadj[u] |= 1 << v
             ndadj[v] |= 1 << u
 
-        for skeleton in skeletons(0, 0):
+        for skeleton in skeletons(0, 0, skeletons):
             yield from self._edge_phase(skeleton, top_fixing)
 
     def _live_ok(self, live, ndadj, u) -> bool:
@@ -305,7 +310,7 @@ class _Decision:
                     forced ^= low
             return True
 
-        def dfs(i: int):
+        def dfs(i: int, recurse):
             nonlocal ones, decided
             # a triangle after i is decided only if it was forced in; bit i
             # of ones is set iff tris[i] is chosen, and none past the last
@@ -317,7 +322,7 @@ class _Decision:
             string = ones, decided
             for step in (set_in, set_out):
                 if step(i) and self._lex_ok(swaps, ones, decided):
-                    yield from dfs(i + 1)
+                    yield from recurse(i + 1, recurse)
                 added = ones ^ string[0]  # each flip is its own inverse
                 while added:
                     low = added & -added
@@ -325,7 +330,9 @@ class _Decision:
                     added ^= low
                 ones, decided = string
 
-        return dfs(0)
+        # dfs calls itself as ``recurse``, as skeletons does: reference
+        # counting frees tris, chosen and the rest once the generators go
+        return dfs(0, dfs)
 
 
 def _run_branch(n: int, pattern: Pattern, k: int, mask: int):
@@ -559,14 +566,16 @@ def local_search_lower_bound(
     """Hill-climb on the minimum positive co-degree with single-edge toggles.
 
     Starts from the k-partite seed construction and keeps the best host
-    seen; every accepted move preserves pattern-freeness (a toggle that
-    says it added its triple is checked incrementally through that edge).
-    Each proposal is toggled into one HostState, whose co-degree histogram
-    gives the score without a rescan, and toggled back if rejected; the
-    masks are the only copy of the current host, snapshotted as a
-    TripleSystem at each new best.  Deterministic for a fixed seed: one
-    ``randrange`` per step.  A result exceeding the known closed-form value
-    would falsify it and raises InternalContradiction.
+    seen.  A proposal is taken when its host is pattern-free and scores at
+    least the current one.  Each step first reads the score the toggle
+    would give off one HostState, without changing it, and drops a
+    proposal below the current score there.  Only a proposal that passes
+    is toggled, and if the toggle added its triple, checked incrementally
+    through that edge and toggled back on a hit, so every accepted move
+    preserves pattern-freeness.  The masks are the only copy of the current
+    host, snapshotted as a TripleSystem at each new best.  Deterministic for
+    a fixed seed: one ``randrange`` per step.  A result exceeding the known
+    closed-form value would falsify it and raises InternalContradiction.
     """
     pattern = _catalog_pattern(pattern, "local search")
     if not LOCAL_MIN_N <= n <= LOCAL_MAX_N:
@@ -583,11 +592,10 @@ def local_search_lower_bound(
     all_triples = list(itertools.combinations(range(n), 3))
     for _ in range(budget):
         t = all_triples[rng.randrange(len(all_triples))]
-        if state.toggle(t) and embeds_through_edge(nbr, pattern, t):
-            state.toggle(t)
-            continue
-        score = state.score()
+        score = state.score_after(t)
         if score < cur_score:
+            continue
+        if state.toggle(t) and embeds_through_edge(nbr, pattern, t):
             state.toggle(t)
             continue
         cur_score = score

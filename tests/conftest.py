@@ -4,8 +4,9 @@ Generators: the complete host, random hosts, Steiner joins and blow-ups, and
 ``relabel``.  Oracles, each written apart from the fast path it checks:
 ``naive_find_embedding`` for the pattern searches, ``check_fact`` for the
 ten structural facts behind ``analyze_half_degree``, the per-pair edge scan
-for the co-degree, the interpreted search plans, and the constructor,
-parser and writer as they were before they read the pair masks.
+for the co-degree, the interpreted search plans, the constructor, parser
+and writer as they were before they read the pair masks, and the local
+search in its first step order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from triplesys import (
     Pattern,
     PreconditionViolated,
     TripleSystem,
+    embeds_through_edge,
     mask_vertices,
     min_positive_codegree,
 )
@@ -198,6 +200,57 @@ def interpreted_through_edge(nbr, pattern, edge) -> bool:
     return any(
         interpreted_search_maps(nbr, plan, edge) is not None for plan in pattern.compiled.through
     )
+
+
+def reference_local_search(start: TripleSystem, pattern: Pattern, budget: int, seed: int):
+    """``search.local_search_lower_bound`` from ``start`` in the step order
+    it had before it scored a proposal first: toggle the triple, check an
+    addition through its edge, score, and toggle a rejected move back.
+    Frozen here as the oracle for the search's hosts and its order of work.
+
+    Keeps its own mask table and co-degree histogram, and reads each score
+    by walking the histogram from 1.  Returns the best host and the trail:
+    per proposal, the triple, the score the toggle gives, whether that is
+    at least the current score, and whether a copy of the pattern went
+    through it (None for a removal, which is not checked).
+    """
+    n = start.n
+    rng = random.Random(seed)
+    nbr = [row[:] for row in start.pair_masks]
+    hist = [0] * max(n - 1, 1)
+    for u in range(n):
+        for v in range(u + 1, n):
+            hist[nbr[u][v].bit_count()] += 1
+
+    def toggle(t) -> bool:
+        u, v, w = t
+        d = -1 if nbr[u][v] >> w & 1 else 1
+        for a, b in ((u, v), (u, w), (v, w)):
+            c = nbr[a][b].bit_count()
+            hist[c] -= 1
+            hist[c + d] += 1
+        flip(nbr, t)
+        return d == 1
+
+    def score() -> tuple[int, int]:
+        return next(((c, -hist[c]) for c in range(1, len(hist)) if hist[c]), (0, 0))
+
+    best, current = start, score()
+    best_score = current
+    triples = list(itertools.combinations(range(n), 3))
+    trail = []
+    for _ in range(budget):
+        t = triples[rng.randrange(len(triples))]
+        hit = embeds_through_edge(nbr, pattern, t) if toggle(t) else None
+        gives = score()
+        trail.append((t, gives, gives >= current, hit))
+        if hit or gives < current:
+            toggle(t)
+            continue
+        current = gives
+        if gives > best_score:
+            best, best_score = TripleSystem._from_masks([row[:] for row in nbr]), gives
+    return best, trail
 
 
 def reference_triple_system(n: int, edges) -> TripleSystem:

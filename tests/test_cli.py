@@ -8,7 +8,7 @@ from triplesys import (
     serialize_hypergraph,
     write_hypergraph,
 )
-from triplesys import cli
+from triplesys import cli, core
 from triplesys.cli import main
 from triplesys.fileio import read_hypergraph, result_from_json
 
@@ -321,6 +321,38 @@ class TestLocalSearch:
             "--budget", "0", "--seed", "7", "-o", "/nonexistent/h",
         )
         assert code == 1 and stdout == "" and "cannot write" in err
+
+
+class TestCodegreeScans:
+    @pytest.mark.parametrize(
+        "host,argv,code",
+        [
+            ("k6", ["analyze"], 0),  # above n/2: find_c5_witness
+            ("p16", ["analyze"], 0),  # at n/2: analyze_half_degree
+            ("p9", ["analyze"], 2),  # below n/2: refused
+            ("p16", ["stats"], 0),
+            (None, ["localsearch", "--n", "12", "--pattern", "c5",
+                    "--budget", "100", "--seed", "3", "-o"], 0),
+            (None, ["construct", "--n", "9", "--k", "3", "-o"], 0),
+        ],
+    )
+    def test_a_command_scans_its_host_once(self, tmp_path, capsys, monkeypatch, host, argv, code):
+        # the host keeps its co-degree table, so the dispatch, the gates of
+        # the witness functions, the local search's closed-form guard and
+        # the printed figures share one scan
+        hosts = {
+            "k6": complete_triple_system(6),
+            "p16": construct_complete_k_partite(16, 4)[0],
+            "p9": construct_complete_k_partite(9, 3)[0],
+        }
+        path = str(tmp_path / "h.txt")  # read, or written with -o
+        if host is not None:
+            write_hypergraph(path, hosts[host])
+        scans = []
+        build = core.build_codegree_table
+        monkeypatch.setattr(core, "build_codegree_table", lambda host: scans.append(host) or build(host))
+        assert run(capsys, *argv, path)[0] == code
+        assert len(scans) == 1
 
 
 class TestDeterminism:

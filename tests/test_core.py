@@ -376,6 +376,13 @@ class TestCodegreeTable:
         ]
 
 
+def _scanned_score(nbr) -> tuple[int, int]:
+    """HostState.score read off a fresh scan of the pair masks."""
+    codegrees = [m.bit_count() for u, row in enumerate(nbr) for m in row[u + 1:]]
+    low = min((c for c in codegrees if c), default=0)
+    return (low, -codegrees.count(low)) if low else (0, 0)
+
+
 class TestHostState:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(4, 12), st.randoms(use_true_random=False))
@@ -401,6 +408,41 @@ class TestHostState:
             else:
                 expected = (delta, -codegree.count(delta))
             assert state.score() == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(4, 24),
+        st.sampled_from(["edgeless", "complete", "random"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_score_after_is_the_score_a_toggle_gives(self, n, start, rng):
+        if start == "random":
+            host = random_host(n, rng, density=rng.random())
+        else:
+            host = complete_triple_system(n) if start == "complete" else TripleSystem(n)
+        state = HostState(host)
+        nbr = state.pair_masks
+        triples = list(itertools.combinations(range(n), 3))
+        pairs = list(itertools.combinations(range(n), 2))
+        for _ in range(6):
+            # random triples, and triples on pairs at co-degree 0 and at the
+            # minimum, completed by a random third vertex: each adds or removes
+            codegree = {p: nbr[p[0]][p[1]].bit_count() for p in pairs}
+            low = min((c for c in codegree.values() if c), default=0)
+            proposals = [triples[rng.randrange(len(triples))] for _ in range(8)]
+            for c in {0, low}:
+                at = [p for p in pairs if codegree[p] == c]
+                for u, v in rng.sample(at, min(len(at), 6)):
+                    w = rng.choice([x for x in range(n) if x not in (u, v)])
+                    proposals.append(tuple(sorted((u, v, w))))
+            for t in proposals:
+                before = ([row[:] for row in nbr], state.hist[:], state.low)
+                score = state.score_after(t)
+                assert ([row[:] for row in nbr], state.hist, state.low) == before
+                state.toggle(t)
+                assert score == state.score() == _scanned_score(nbr)
+                state.toggle(t)
+            state.toggle(triples[rng.randrange(len(triples))])
 
     def test_copies_the_host_table(self):
         host = TripleSystem(4, [(0, 1, 2)])

@@ -1,9 +1,12 @@
 import contextlib
+import gc
 import hashlib
 import itertools
 import os
+import random
 import signal
 import time
+import types
 
 import pytest
 
@@ -25,8 +28,14 @@ from triplesys import (
     serialize_hypergraph,
 )
 from triplesys import cli, search
+from triplesys.core import HostState, flip
 
-from conftest import naive_find_embedding, relabel, scan_min_positive_codegree
+from conftest import (
+    naive_find_embedding,
+    reference_local_search,
+    relabel,
+    scan_min_positive_codegree,
+)
 
 #: A fork threshold that splits calls between this process and workers:
 #: (6, c5, 3) runs branches 0..14 here and forks for 15..33, and (7, k4, 3)
@@ -338,6 +347,30 @@ class TestDecision:
             assert any(relabel(host, g) in pruned for g in itertools.permutations(range(6)))
         # the branch state lives in locals: only the node count changed
         assert vars(dec) == {"n": 6, "pattern": pattern, "k": 2, "nodes": dec.nodes}
+
+    def test_a_call_leaves_no_cyclic_garbage(self):
+        # The phases' generators call themselves through an argument, not
+        # through a cell of their own, so reference counting frees each
+        # branch's state: the collector finds none of it.
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            decide_exists(7, pattern_by_name("c5minus"), 3)
+            gc.collect()
+            left = [
+                o for o in gc.garbage
+                if isinstance(o, types.CellType)
+                or (isinstance(o, (types.FunctionType, types.GeneratorType))
+                    and o.__qualname__.startswith("_Decision."))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert left == []
 
     def test_the_first_host_is_the_one_decide_exists_returns(self):
         pattern = pattern_by_name("c5")
@@ -727,18 +760,54 @@ def _sha256(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
+def _search_trail(monkeypatch, n, pattern, budget, seed):
+    """The search's host, and its trail: every proposal in step order with
+    the score it would give, and whether a copy of the pattern went through
+    it wherever the search ran the through-edge check."""
+    trail = []
+    score_after = HostState.score_after
+
+    def scoring(state, edge):
+        score = score_after(state, edge)
+        trail.append((tuple(edge), score))
+        return score
+
+    def checking(nbr, pattern, edge):
+        hit = embeds_through_edge(nbr, pattern, edge)
+        trail[-1] += (hit,)
+        return hit
+
+    monkeypatch.setattr(HostState, "score_after", scoring)
+    monkeypatch.setattr(search, "embeds_through_edge", checking)
+    return local_search_lower_bound(n, pattern, budget, seed), trail
+
+
+def _reference_run(start, pattern, budget, seed):
+    """reference_local_search's host and the trail the search should leave:
+    a proposal whose score passes is checked if it adds its triple."""
+    host, trail = reference_local_search(start, pattern_by_name(pattern), budget, seed)
+    return host, [
+        (t, s, hit) if passes and hit is not None else (t, s) for t, s, passes, hit in trail
+    ]
+
+
 class TestLocalSearchGolden:
-    """Runs recorded before the incremental host state replaced host rebuilds.
+    """Runs recorded before the search scored a proposal before flipping it.
 
     In these runs no move is ever accepted (every toggle from the k-partite
     seed lowers the score), so each returned host is the seed and the output
-    alone cannot show a change in the RNG use or the order of the checks.
-    The test therefore also pins the trail of through-edge pattern checks:
-    the proposed addition and whether a copy went through it, in step order.
+    alone cannot show a change in the RNG use or the order of the work.
+    The test therefore pins the search's trail: every proposal in step
+    order, with the score it would give and, where that score passes,
+    whether a copy went through it.  Here none passes, so the search runs
+    no through-edge check.  The replica of the first step order (toggle,
+    check, score) must still make the trail recorded then: the proposed
+    additions, each checked, and whether a copy went through it.
     """
 
-    # (n, pattern, seed, budget), checks, hits, SHA-256 of the sorted edges,
-    # SHA-256 of the trail [(triple, hit), ...]
+    # (n, pattern, seed, budget), checks and hits of the first step order,
+    # SHA-256 of the sorted edges, SHA-256 of that order's trail
+    # [(triple, hit), ...]
     GOLDEN = [
         ((12, "c5", 3, 200), 109, 107,
          "d5b0b59fce1739dcc84f960b5abed19b78b2b024655901ce9b8f917c25b5620f",
@@ -760,18 +829,106 @@ class TestLocalSearchGolden:
          "0dddae25934887095ad8e34df6645b8ee4fad3bae44a8b7761e67ae2f2e7cf1b"),
     ]
 
+    # (n, pattern, seed, budget) -> SHA-256 of the search's trail
+    SEARCH_TRAILS = {
+        (12, "c5", 3, 200): "859fa0d41a29517848419c62fb7f27ef8f40bde42c21544a9b36a0d435c79330",
+        (12, "c5minus", 7, 300): "e6c961496348c8e86e9ad21701d4eb3c4a42022544e909711debbcf15ca5f8ae",
+        (12, "k4", 0, 300): "118cfad05b233de9533c6010b40ae9e3ee5b524a7781bb492c62bcff6fdd41f7",
+        (24, "c5", 21, 300): "a9b19c406a1effbb33c3f147b8850362fe6b78da4d8a862fce8017e16d528127",
+        (24, "f32", 5, 300): "bb29a795e9a0a3e07a43792d98b94ae06f43b63df6240e2d0294acb719cd6e88",
+        (24, "k4minus", 8, 300): "e3f4df00f20abdfd465a1cf44a46b71f8c115aaf92e4c4157d46224afa4a17f9",
+    }
+
     @pytest.mark.parametrize("args,checks,hits,edges_sha,trail_sha", GOLDEN)
     def test_matches_the_recorded_run(self, monkeypatch, args, checks, hits, edges_sha, trail_sha):
-        trail = []
+        n, pattern, seed, budget = args
+        host, trail = _search_trail(monkeypatch, n, pattern, budget, seed)
+        assert _sha256(host.edges) == edges_sha
+        assert _sha256(trail) == self.SEARCH_TRAILS[args]
+        # the first step order, from the same seed host: its checks, and
+        # every proposal's score, which none passes
+        pattern = pattern_by_name(pattern)
+        start = search._seed_construction(n, pattern)
+        reference, first_order = reference_local_search(start, pattern, budget, seed)
+        checked = [(t, hit) for t, _, _, hit in first_order if hit is not None]
+        assert (len(checked), sum(hit for _, hit in checked)) == (checks, hits)
+        assert _sha256(checked) == trail_sha
+        assert reference == host
+        assert [(t, s) for t, s, _, _ in first_order] == trail
+
+
+def _greedy_free_host(n, pattern, seed):
+    """A random host free of the pattern: the triples in a shuffled order,
+    each kept unless a copy goes through it.  Every triple it lacks closes a
+    copy, so from here the search's checks hit and its removals pay."""
+    rng = random.Random(seed)
+    order = list(itertools.combinations(range(n), 3))
+    rng.shuffle(order)
+    nbr = [[0] * n for _ in range(n)]
+    for t in order:
+        flip(nbr, t)
+        if embeds_through_edge(nbr, pattern, t):
+            flip(nbr, t)
+    return TripleSystem._from_masks(nbr)
+
+
+def _run_from(monkeypatch, start, pattern, budget, seed):
+    """The search from the host ``start``, as _search_trail gives it."""
+    monkeypatch.setattr(search, "_seed_construction", lambda n, pattern: start)
+    return _search_trail(monkeypatch, start.n, pattern, budget, seed)
+
+
+class TestAgainstTheFirstStepOrder:
+    """The search against reference_local_search, which toggles, checks and
+    scores each proposal in that order, host for host and step for step."""
+
+    @pytest.mark.parametrize("n", [8, 13, 24])
+    @pytest.mark.parametrize("pattern", list(CATALOG))
+    def test_from_the_seed_construction(self, monkeypatch, n, pattern):
+        start = search._seed_construction(n, pattern_by_name(pattern))
+        for seed, budget in ((0, 150), (1, 400)):
+            host, trail = _search_trail(monkeypatch, n, pattern, budget, seed)
+            assert (host, trail) == _reference_run(start, pattern, budget, seed)
+
+    @pytest.mark.parametrize(
+        "n,pattern,seed,budget",
+        # test_edgeless_start_keeps_its_best_host's runs
+        [(10, "c5", 4, 600), (12, "c5minus", 9, 800), (9, "k4", 2, 500)],
+    )
+    def test_from_the_edgeless_host(self, monkeypatch, n, pattern, seed, budget):
+        host, trail = _run_from(monkeypatch, TripleSystem(n), pattern, budget, seed)
+        assert (host, trail) == _reference_run(TripleSystem(n), pattern, budget, seed)
+        # the first addition is checked and taken; no later proposal passes
+        assert [step for step in trail if len(step) == 3] == [(host.edges[0], (1, -3), False)]
+
+    @pytest.mark.parametrize("n", [8, 13, 24])
+    @pytest.mark.parametrize("pattern", list(CATALOG))
+    def test_from_a_greedy_free_host(self, monkeypatch, n, pattern):
+        start = _greedy_free_host(n, pattern_by_name(pattern), n)
+        host, trail = _run_from(monkeypatch, start, pattern, 300, n)
+        assert (host, trail) == _reference_run(start, pattern, 300, n)
+        assert any(step[2] for step in trail if len(step) == 3)  # a check hit
+
+    @pytest.mark.parametrize("start", ["edgeless", "greedy"])
+    @pytest.mark.parametrize(
+        "n,pattern,seed,budget", [(10, "c5", 4, 600), (12, "c5minus", 9, 800), (9, "k4", 2, 500)]
+    )
+    def test_every_addition_the_score_lets_through_takes_the_public_check(
+        self, monkeypatch, start, n, pattern, seed, budget
+    ):
+        # A private copy of the through-edge check in the search would leave
+        # this wrapper on the public one short of the additions that need it.
+        pattern = pattern_by_name(pattern)
+        host = TripleSystem(n) if start == "edgeless" else _greedy_free_host(n, pattern, seed)
+        checked = []
 
         def recording(nbr, pattern, edge):
-            hit = embeds_through_edge(nbr, pattern, edge)
-            trail.append((tuple(edge), hit))
-            return hit
+            checked.append(tuple(edge))
+            return embeds_through_edge(nbr, pattern, edge)
 
-        n, pattern, seed, budget = args
+        monkeypatch.setattr(search, "_seed_construction", lambda n, pattern: host)
         monkeypatch.setattr(search, "embeds_through_edge", recording)
-        host = local_search_lower_bound(n, pattern, budget, seed)
-        assert _sha256(host.edges) == edges_sha
-        assert (len(trail), sum(hit for _, hit in trail)) == (checks, hits)
-        assert _sha256(trail) == trail_sha
+        local_search_lower_bound(n, pattern, budget, seed)
+        _, first_order = reference_local_search(host, pattern, budget, seed)
+        passed = [t for t, _, passes, hit in first_order if passes and hit is not None]
+        assert passed and checked == passed
