@@ -295,8 +295,7 @@ class HostState:
     would give off the three pair co-degrees, ``hist`` and ``low``, and
     changes nothing, so the local search flips only a move that its score
     lets through.  ``toggle`` flips one triple, says whether it added it,
-    and moves three histogram entries and ``low``.  The two work ``low``
-    out apart, so each checks the other.
+    moves three histogram entries and takes ``low`` from ``score_after``.
     """
 
     __slots__ = ("pair_masks", "hist", "low")
@@ -309,18 +308,14 @@ class HostState:
     def toggle(self, edge) -> bool:
         """Add the triple if absent, remove it if present; True if added."""
         u, v, w = edge
-        nbr, hist, low = self.pair_masks, self.hist, self.low
+        nbr, hist = self.pair_masks, self.hist
+        self.low = self.score_after(edge)[0]
         added = not nbr[u][v] >> w & 1
         d = 1 if added else -1  # all three co-degrees move by d
         for a, b in ((u, v), (u, w), (v, w)):
             c = nbr[a][b].bit_count() + d
             hist[c - d] -= 1
             hist[c] += 1
-            if c and (c < low or not low):
-                low = c
-        if low and not hist[low]:  # every pair at the minimum left it
-            low = next((c for c in range(low + 1, len(hist)) if hist[c]), 0)
-        self.low = low
         flip(nbr, edge)
         return added
 

@@ -765,12 +765,21 @@ def _search_trail(monkeypatch, n, pattern, budget, seed):
     the score it would give, and whether a copy of the pattern went through
     it wherever the search ran the through-edge check."""
     trail = []
-    score_after = HostState.score_after
+    score_after, toggle = HostState.score_after, HostState.toggle
+    toggling = []  # toggle reads its new minimum through score_after too
 
     def scoring(state, edge):
         score = score_after(state, edge)
-        trail.append((tuple(edge), score))
+        if not toggling:
+            trail.append((tuple(edge), score))
         return score
+
+    def flipping(state, edge):
+        toggling.append(edge)
+        try:
+            return toggle(state, edge)
+        finally:
+            toggling.pop()
 
     def checking(nbr, pattern, edge):
         hit = embeds_through_edge(nbr, pattern, edge)
@@ -778,6 +787,7 @@ def _search_trail(monkeypatch, n, pattern, budget, seed):
         return hit
 
     monkeypatch.setattr(HostState, "score_after", scoring)
+    monkeypatch.setattr(HostState, "toggle", flipping)
     monkeypatch.setattr(search, "embeds_through_edge", checking)
     return local_search_lower_bound(n, pattern, budget, seed), trail
 
