@@ -17,13 +17,13 @@ from .core import (
     TripleSystem,
     _codegree_text,
     construct_complete_k_partite,
+    min_codegree,
     min_positive_codegree,
 )
 from .errors import InternalContradiction, PreconditionViolated
 from .fileio import (
     ParseError,
     dump_json,
-    embedding_to_json,
     read_hypergraph,
     result_to_json,
     write_hypergraph,
@@ -75,15 +75,14 @@ def cmd_construct(args) -> int:
 
 def cmd_stats(args) -> int:
     host = _load(args.input)
-    table = host.codegree_table
-    present = [c for c, count in enumerate(table) if count]  # co-degrees that occur
-    positive = [c for c in present if c] or [None]  # None: edgeless
+    table = host.codegree_table  # every figure below reads this one scan
+    top = max((c for c, count in enumerate(table) if c and count), default=None)
     print(f"n {host.n}")
-    print(f"edges {host.edge_count}")  # off the same table
-    print(f"min_positive_codegree {_codegree_text(positive[0])}")
+    print(f"edges {host.edge_count}")
+    print(f"min_positive_codegree {_codegree_text(min_positive_codegree(host))}")
     print(f"support_pairs {sum(table[1:])}")
-    print(f"min_codegree {present[0] if present else 0}")
-    print(f"max_codegree {_codegree_text(positive[-1])}")
+    print(f"min_codegree {min_codegree(host)}")
+    print(f"max_codegree {_codegree_text(top)}")
     return EXIT_OK
 
 
@@ -94,7 +93,7 @@ def cmd_free(args) -> int:
     payload = {
         "pattern": pattern.name,
         "free": emb is None,
-        "embedding": None if emb is None else embedding_to_json(emb),
+        "embedding": None if emb is None else result_to_json(emb),
     }
     sys.stdout.write(dump_json(payload))
     return EXIT_OK
@@ -103,7 +102,7 @@ def cmd_free(args) -> int:
 def cmd_witness(args) -> int:
     host = _load(args.input)
     emb = find_c5_witness(host) if args.pattern == "c5" else find_c5minus_witness(host)
-    sys.stdout.write(dump_json(embedding_to_json(emb)))
+    sys.stdout.write(dump_json(result_to_json(emb)))
     return EXIT_OK
 
 

@@ -169,11 +169,11 @@ class TripleSystem:
     and intersection queries), built from an edge list in any vertex order
     through an incidence cube, as in ``fileio``.  The lexicographically
     sorted edge tuple (deterministic iteration), the twin classes and the
-    co-degree histogram are read off the table the first time ``edges``,
-    ``twins`` or ``codegree_table`` is asked for, and kept.
+    co-degree histogram are ``functools.cached_property``s (``edges``,
+    ``twins``, ``codegree_table``): each is read off the table the first
+    time it is asked for and kept in the instance dict, which the cache
+    writes directly.  ``__setattr__`` refuses every assignment.
     """
-
-    __slots__ = ("n", "_nbr", "_edges", "_twins", "_codegrees")
 
     def __init__(self, n: int, edges=()):
         if not 0 <= n <= MAX_VERTICES:
@@ -211,15 +211,13 @@ class TripleSystem:
         """Fix n and the table: the one way a table becomes a host."""
         object.__setattr__(self, "n", len(nbr))
         object.__setattr__(self, "_nbr", nbr)
-        object.__setattr__(self, "_edges", None)
-        object.__setattr__(self, "_twins", None)
-        object.__setattr__(self, "_codegrees", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TripleSystem is immutable")
 
     def __reduce__(self):
-        # the default restores slots through the blocked __setattr__
+        # the table alone, no cached property: a branch worker's record must
+        # fit in one pipe write
         return TripleSystem._from_masks, ([row[:] for row in self._nbr],)
 
     def __eq__(self, other) -> bool:
@@ -234,16 +232,12 @@ class TripleSystem:
     def __repr__(self) -> str:
         return f"TripleSystem(n={self.n}, edges={self.edge_count})"
 
-    @property
+    @functools.cached_property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """The edges (u, v, w), u < v < w, in lexicographic order."""
-        edges = self._edges
-        if edges is None:
-            edges = _mask_edges(self._nbr)
-            object.__setattr__(self, "_edges", edges)
-        return edges
+        return _mask_edges(self._nbr)
 
-    @property
+    @functools.cached_property
     def twins(self) -> tuple[int, tuple[int, ...]]:
         """The classes of exchangeable vertices, as ``(first, nxt)``.
 
@@ -251,21 +245,13 @@ class TripleSystem:
         host.  ``first`` is the mask of the least vertex of each class, and
         ``nxt[v]`` the bit of the next member of v's class above v, or 0.
         """
-        twins = self._twins
-        if twins is None:
-            twins = _twin_table(self._nbr)
-            object.__setattr__(self, "_twins", twins)
-        return twins
+        return _twin_table(self._nbr)
 
-    @property
+    @functools.cached_property
     def codegree_table(self) -> tuple[int, ...]:
         """``build_codegree_table`` of the host, scanned once and kept, so
         every co-degree fact of one host shares one scan."""
-        table = self._codegrees
-        if table is None:
-            table = tuple(build_codegree_table(self))
-            object.__setattr__(self, "_codegrees", table)
-        return table
+        return tuple(build_codegree_table(self))
 
     @property
     def edge_count(self) -> int:

@@ -21,6 +21,9 @@ each line as it reads it, gives every ParseError its line number, and
 builds the host as ``TripleSystem(n, edges)`` after the last line: only
 ``core`` writes pair-mask tables.
 Writing reads the pair masks too: neither builds the host's sorted edge tuple.
+
+Extractor results have one writer, ``result_to_json``, and one reader,
+``result_from_json``, which re-validates what it reads against its host.
 """
 
 from __future__ import annotations
@@ -191,34 +194,27 @@ def write_hypergraph(path: str, host: TripleSystem) -> None:
         fh.write(serialize_hypergraph(host))
 
 
-def embedding_to_json(emb: Embedding) -> dict:
-    return {
-        "kind": "embedding",
-        "pattern": emb.pattern.name,
-        "map": list(emb.map),
-        "edges": [list(e) for e in emb.image_edges()],
-    }
-
-
-def certificate_to_json(cert: StructureCertificate) -> dict:
+def result_to_json(result: Embedding | StructureCertificate) -> dict:
+    """An embedding or a structure certificate as JSON, as ``free``,
+    ``witness`` and ``analyze`` print it."""
+    if isinstance(result, Embedding):
+        return {
+            "kind": "embedding",
+            "pattern": result.pattern.name,
+            "map": list(result.map),
+            "edges": [list(e) for e in result.image_edges()],
+        }
     return {
         "kind": "structure",
-        "base": list(cert.base),
-        "A": [sorted(s) for s in cert.a_sets],
-        "B": [sorted(s) for s in cert.b_sets],
-        "q": cert.q,
-        "r0": cert.r0,
-        "classes": [sorted(c) for c in cert.classes],
-        "pairing": [list(p) for p in cert.pairing],
+        "base": list(result.base),
+        "A": [sorted(s) for s in result.a_sets],
+        "B": [sorted(s) for s in result.b_sets],
+        "q": result.q,
+        "r0": result.r0,
+        "classes": [sorted(c) for c in result.classes],
+        "pairing": [list(p) for p in result.pairing],
         "conclusion": "n divisible by 4",
     }
-
-
-def result_to_json(result) -> dict:
-    """Serialize an extractor result (embedding or structure certificate)."""
-    if isinstance(result, Embedding):
-        return embedding_to_json(result)
-    return certificate_to_json(result)
 
 
 def result_from_json(data: dict, host: TripleSystem):

@@ -76,26 +76,30 @@ class StructureCertificate:
     pairing: tuple[tuple[int, int], ...]
 
     def verify(self) -> bool:
-        """Re-check every invariant from scratch; True iff all hold.  A base
-        other than four distinct int host vertices spanning a K4, A-cells,
-        B-cells, classes or a pairing of None, other than four A- and four
-        B-cells, a q, r0, cell member or class member other than an int, a
-        class other than a frozenset, or a pairing entry other than a tuple
-        of two int class indices gives False, not an error: a float or a
-        bool equal to the right int is refused too.  Not checked,
-        as cells equal to a K4 base's imply them: each base vertex is in its
-        own A-cell, and a nonempty B-cell has r0 > 0."""
+        """Re-check every invariant from scratch; True iff all hold.  Only
+        the types ``result_from_json`` builds pass: a base, cells, classes
+        or pairing other than a tuple (a list or None), a base other than
+        four distinct int host vertices spanning a K4, other than four A-
+        and four B-cells, a cell or class other than a frozenset, a q, r0,
+        cell member or class member other than an int, or a pairing entry
+        other than a tuple of two int class indices gives False, not an
+        error: a float or a bool equal to the right int is refused too.  Not
+        checked, as cells equal to a K4 base's imply them: each base vertex
+        is in its own A-cell, and a nonempty B-cell has r0 > 0."""
         host, base = self.host, self.base
         n = host.n
-        if any(s is None for s in (self.a_sets, self.b_sets, self.classes, self.pairing)):
+        fields = (base, self.a_sets, self.b_sets, self.classes, self.pairing)
+        if not all(isinstance(f, tuple) for f in fields):
             return False
         nm = _k4_matrix(host, base)
         if nm is None or len(self.a_sets) != 4 or len(self.b_sets) != 4:
             return False
         if type(self.q) is not int or type(self.r0) is not int:
             return False
-        cells = list(self.a_sets) + list(self.b_sets)
-        if sum(len(c) for c in cells) != n or any(type(v) is not int for c in cells for v in c):
+        cells = self.a_sets + self.b_sets
+        if not all(isinstance(c, frozenset) for c in cells) or sum(map(len, cells)) != n:
+            return False
+        if any(type(v) is not int for c in cells for v in c):
             return False
         if set().union(*cells) != set(range(n)):
             return False
@@ -201,13 +205,22 @@ def _outside(n: int, base) -> int:
     return m
 
 
-def _fifth_vertex(n: int, base, nm, h: int, pairs=IDX_PAIRS) -> int | None:
-    """The least vertex outside the base in at least h of the neighborhoods of
-    ``pairs`` (base positions, all six by default), or None: every extractor's scan."""
-    for v5 in mask_vertices(_outside(n, base)):
+def _fifth_vertex(host: TripleSystem, base, nm, h: int, pairs=IDX_PAIRS, which="six base") -> int:
+    """The least vertex outside the base in at least h (2 or 4) of the
+    neighborhoods of ``pairs`` (base positions, all six by default): every
+    extractor's scan.  The counting argument promises one, so none raises
+    InternalContradiction "no fifth vertex in h of the ``which``
+    neighborhoods", with the base, delta and the scanned neighborhoods
+    less the base."""
+    outside = _outside(host.n, base)
+    for v5 in mask_vertices(outside):
         if sum(nm[i][j] >> v5 & 1 for i, j in pairs) >= h:
             return v5
-    return None
+    scanned = {(base[i], base[j]): mask_vertices(nm[i][j] & outside) for i, j in pairs}
+    raise InternalContradiction(
+        f"no fifth vertex in {'two' if h == 2 else 'four'} of the {which} neighborhoods",
+        {"base": tuple(base), "delta": min_positive_codegree(host), "neighborhoods": scanned},
+    )
 
 
 def _c5_from_quad(base, nm, v5) -> tuple[int, int, int, int, int] | None:
@@ -263,7 +276,7 @@ def _k4minus_base(host: TripleSystem) -> tuple[int, int, int, int]:
     return (apex, rest[0], rest[1], rest[2])
 
 
-def _codegree_above(host: TripleSystem, divisor: int) -> int:
+def _codegree_above(host: TripleSystem, divisor: int) -> None:
     """The extractors' gate: n >= 6 and a min positive co-degree above n/divisor."""
     n = host.n
     if n < 6:
@@ -275,7 +288,6 @@ def _codegree_above(host: TripleSystem, divisor: int) -> int:
             f"need min positive co-degree >= {threshold} (strictly above n/{divisor}),"
             f" got {_codegree_text(delta)}"
         )
-    return delta
 
 
 def find_c5minus_witness(host: TripleSystem) -> Embedding:
@@ -287,18 +299,13 @@ def find_c5minus_witness(host: TripleSystem) -> Embedding:
     vertex in two of the six pair neighborhoods of the resulting K4 and
     dispatch on whether the first two pairs holding it overlap.
     """
-    delta = _codegree_above(host, 3)
+    _codegree_above(host, 3)
     base = _k4minus_base(host)
     nm = _neighbor_matrix(host, base)
     if not host.has_edge(base[1], base[2], base[3]):
         # Case 1: pivot v2 = base[1]; the three sets through it.
         pivot = ((1, 0), (1, 2), (1, 3))
-        v5 = _fifth_vertex(host.n, base, nm, 2, pivot)
-        if v5 is None:
-            raise InternalContradiction(
-                "no fifth vertex in two of the pivot neighborhoods",
-                {"base": base, "sets": [mask_vertices(nm[i][j]) for i, j in pivot], "delta": delta},
-            )
+        v5 = _fifth_vertex(host, base, nm, 2, pivot, "pivot")
         in0, in2, in3 = (nm[i][j] >> v5 & 1 for i, j in pivot)
         if in0 and in2:
             m = (base[2], base[3], base[0], base[1], v5)
@@ -308,15 +315,7 @@ def find_c5minus_witness(host: TripleSystem) -> Embedding:
             m = (base[3], base[0], base[2], base[1], v5)
         return _validated(host, C5MINUS, m)
     # Case 2: the anchor is a full K4.
-    v5 = _fifth_vertex(host.n, base, nm, 2)
-    if v5 is None:
-        # the reduced neighborhoods: the base-pair neighborhoods less the base
-        outside = _outside(host.n, base)
-        reduced = {(i, j): mask_vertices(nm[i][j] & outside) for i, j in IDX_PAIRS}
-        raise InternalContradiction(
-            "no fifth vertex in two of the reduced neighborhoods",
-            {"base": base, "reduced": reduced, "delta": delta},
-        )
+    v5 = _fifth_vertex(host, base, nm, 2, IDX_PAIRS, "reduced")
     p1, p2 = [(i, j) for i, j in IDX_PAIRS if nm[i][j] >> v5 & 1][:2]
     common = set(p1) & set(p2)
     if common:
@@ -351,12 +350,7 @@ def _extract_c5_k4free(host: TripleSystem) -> tuple[int, ...]:
     """
     base = _k4minus_base(host)
     nm = _neighbor_matrix(host, base)
-    v5 = _fifth_vertex(host.n, base, nm, 4)
-    if v5 is None:
-        raise InternalContradiction(
-            "no fifth vertex in four of the six base neighborhoods",
-            {"base": base, **_set_state(base, nm)},
-        )
+    v5 = _fifth_vertex(host, base, nm, 4)
     # At least one hit: only three of the six pairs avoid the apex.  Not three:
     # the fourth hit N(v_x, v_y) would make {v_0, v_x, v_y, v5} a K4.
     apex_hits = [t for t in (1, 2, 3) if nm[0][t] >> v5 & 1]
@@ -382,18 +376,13 @@ def find_c5_witness(host: TripleSystem) -> Embedding:
     co+ex(n, K4) is 2, 3 and 3 at n = 6, 7 and 8, so the K4-free branch
     needs n >= 9.
     """
-    delta = _codegree_above(host, 2)
+    _codegree_above(host, 2)
     k4 = find_embedding(host, K4)
     if k4 is None:
         return _validated(host, C5, _extract_c5_k4free(host))
     base = k4.map
     nm = _neighbor_matrix(host, base)
-    v5 = _fifth_vertex(host.n, base, nm, 4)
-    if v5 is None:
-        raise InternalContradiction(
-            "no fifth vertex in four of the six base neighborhoods",
-            {"base": base, "delta": delta, **_set_state(base, nm)},
-        )
+    v5 = _fifth_vertex(host, base, nm, 4)
     # four hits over three pairings fill one pairing and cross it twice
     return _validated(host, C5, _c5_from_quad(base, nm, v5))
 

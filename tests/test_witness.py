@@ -147,7 +147,7 @@ class TestK4FreeExtraction:
     def _apex_hits(host):
         base = _k4minus_base(host)
         nm = _neighbor_matrix(host, base)
-        v5 = _fifth_vertex(host.n, base, nm, 4)
+        v5 = _fifth_vertex(host, base, nm, 4)
         return sum(nm[0][t] >> v5 & 1 for t in (1, 2, 3))
 
     @pytest.mark.parametrize("hit_pair", [(1, 2), (1, 3), (2, 3)])
@@ -178,6 +178,41 @@ class TestK4FreeExtraction:
         assert self._apex_hits(host) == 2
         emb = Embedding(C5, host, _extract_c5_k4free(host))
         assert validate_embedding(emb)
+
+
+class TestFifthVertex:
+    """Each extractor's fifth-vertex scan, called as the extractor calls it,
+    on a host where the vertex the counting argument promises is missing: a
+    K4 on 0..3, and each vertex outside it in h - 1 of the scanned pairs'
+    neighborhoods."""
+
+    PIVOT = ((1, 0), (1, 2), (1, 3))
+
+    @pytest.mark.parametrize("h, rest, message", [
+        # find_c5minus_witness, the anchor without v2v3v4
+        (2, (PIVOT, "pivot"), "no fifth vertex in two of the pivot neighborhoods"),
+        # find_c5minus_witness, the anchor a K4
+        (2, (IDX_PAIRS, "reduced"), "no fifth vertex in two of the reduced neighborhoods"),
+        # _extract_c5_k4free and find_c5_witness
+        (4, (), "no fifth vertex in four of the six base neighborhoods"),
+    ], ids=["c5minus-pivot", "c5minus-k4", "c5-and-k4-free"])
+    def test_no_fifth_vertex_is_a_contradiction(self, h, rest, message):
+        pairs = rest[0] if rest else IDX_PAIRS
+        base = (0, 1, 2, 3)
+        edges = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        edges += [(base[i], base[j], v) for v in (4, 5, 6) for i, j in pairs[:h - 1]]
+        host = TripleSystem(7, edges)
+        with pytest.raises(InternalContradiction) as exc:
+            _fifth_vertex(host, base, _neighbor_matrix(host, base), h, *rest)
+        assert exc.value.args[0] == message
+        state = exc.value.state
+        assert set(state) == {"base", "delta", "neighborhoods"}
+        assert state["base"] == base
+        assert state["delta"] == min_positive_codegree(host)
+        # the scanned neighborhoods less the base: all of 4..6 in the first h - 1
+        reduced = state["neighborhoods"]
+        assert list(reduced) == [(base[i], base[j]) for i, j in pairs]
+        assert list(reduced.values()) == [(4, 5, 6)] * (h - 1) + [()] * (len(pairs) - h + 1)
 
 
 class TestAnalyzeHalfDegree:
@@ -499,22 +534,12 @@ class TestABCells:
 
 
 class TestCertificateVerify:
-    def test_two_nonempty_b_cells_fail_at_their_count(self):
-        # The true cells of a planted base with |B_0| = |B_1| = 2 partition
-        # the twelve vertices, so verify passes the sum and union checks and
-        # the cell comparisons, and must return at the nonempty-B count.
-        host = _planted_cells_host(1, (2, 2, 0, 0), random.Random(0))
-        base = (0, 1, 2, 3)
-        amask, bmask = _ab_cells(_neighbor_matrix(host, base))
-        cert = StructureCertificate(
-            host, base,
-            tuple(frozenset(mask_vertices(m)) for m in amask),
-            tuple(frozenset(mask_vertices(m)) for m in bmask),
-            q=1, r0=2, classes=(), pairing=(),
-        )
-        assert [len(b) for b in cert.b_sets] == [2, 2, 0, 0]
+    @staticmethod
+    def _assert_refused_under(cert, check_text):
+        """verify returns False, and returns it on the line under the one
+        holding check_text."""
         lines, first = inspect.getsourcelines(StructureCertificate.verify)
-        check = first + next(i for i, line in enumerate(lines) if "len(nonempty) > 1" in line)
+        check = first + next(i for i, line in enumerate(lines) if check_text in line)
         code = StructureCertificate.verify.__code__
         returns = []
 
@@ -533,6 +558,40 @@ class TestCertificateVerify:
             sys.settrace(previous)
         assert verified is False
         assert returns == [check + 1]  # the return False under that check
+
+    def test_two_nonempty_b_cells_fail_at_their_count(self):
+        # The true cells of a planted base with |B_0| = |B_1| = 2 partition
+        # the twelve vertices, so verify passes the sum and union checks and
+        # the cell comparisons, and must return at the nonempty-B count.
+        host = _planted_cells_host(1, (2, 2, 0, 0), random.Random(0))
+        base = (0, 1, 2, 3)
+        amask, bmask = _ab_cells(_neighbor_matrix(host, base))
+        cert = StructureCertificate(
+            host, base,
+            tuple(frozenset(mask_vertices(m)) for m in amask),
+            tuple(frozenset(mask_vertices(m)) for m in bmask),
+            q=1, r0=2, classes=(), pairing=(),
+        )
+        assert [len(b) for b in cert.b_sets] == [2, 2, 0, 0]
+        self._assert_refused_under(cert, "len(nonempty) > 1")
+
+    def test_apex_a_cell_fails_at_its_size(self):
+        # A K4 on 0..3 and vertex 4 in the three pair neighborhoods through
+        # 0: the true cells are A_i = {i} and B_0 = {4}.  They partition the
+        # host, r0 = |B_0| = 1 and every other A-cell has q = 1 member, so
+        # verify must return at |A_0| = q + r0, which 1 != 2 fails.
+        k4 = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        host = TripleSystem(5, k4 + [(0, 1, 4), (0, 2, 4), (0, 3, 4)])
+        cert = StructureCertificate(
+            host, (0, 1, 2, 3),
+            tuple(frozenset({i}) for i in range(4)),
+            (frozenset({4}), frozenset(), frozenset(), frozenset()),
+            q=1, r0=1, classes=(frozenset({4}),), pairing=(),
+        )
+        amask, bmask = _ab_cells(_neighbor_matrix(host, cert.base))
+        assert cert.a_sets == tuple(frozenset(mask_vertices(m)) for m in amask)
+        assert cert.b_sets == tuple(frozenset(mask_vertices(m)) for m in bmask)
+        self._assert_refused_under(cert, "self.q + self.r0")
 
 
 class TestQuadExtraction:
